@@ -66,14 +66,21 @@ def _require_data(data: bytes) -> None:
         raise EmptyFileError("cannot analyze an empty byte sequence")
 
 
+def _require_bit_energy(bit_energy: float) -> None:
+    if not (bit_energy > 0 and math.isfinite(bit_energy)):
+        raise DomainError(f"bit_energy must be finite and > 0, got {bit_energy}")
+
+
 def analyze_counts(data: bytes, bit_energy: float) -> tuple[int, int, float]:
     """(bit length, ones count, energy in J) of a byte sequence."""
     _require_data(data)
-    if not bit_energy > 0:
-        raise DomainError(f"bit_energy must be > 0, got {bit_energy}")
+    _require_bit_energy(bit_energy)
     bit_length = 8 * len(data)
     ones = int.from_bytes(data, "big").bit_count()
-    return bit_length, ones, ones * bit_energy
+    energy = ones * bit_energy
+    if not math.isfinite(energy):
+        raise DomainError(f"energy of {ones} one bits at {bit_energy} J each overflows")
+    return bit_length, ones, energy
 
 
 def max_information(bit_length: int) -> float:
@@ -89,8 +96,7 @@ def file_temperature(bit_energy: float) -> float:
     Independent of length and content by construction (the ones fraction of
     a random file is 1/2).
     """
-    if not bit_energy > 0:
-        raise DomainError(f"bit_energy must be > 0, got {bit_energy}")
+    _require_bit_energy(bit_energy)
     return bit_energy / (2.0 * K_B * LN2)
 
 
@@ -110,6 +116,14 @@ def block_entropy(data: bytes, block_bits: int) -> float:
     Bits are taken MSB-first. Requires at least 10 * 2^block_bits bits of
     data; undersampled block entropies are biased low, so short inputs are
     rejected rather than silently underestimated.
+
+    The window histogram is counted from byte words, never from single bits:
+    w[j] is the big-endian 32-bit word of bytes j..j+3 (the input padded with
+    three zero bytes), so the window starting at bit 8j + r is
+    (w[j] >> (32 - r - k)) & (2^k - 1), which fits because r + k <= 31. One
+    bincount per bit offset r in 0..7 gives exact integer counts. Working
+    memory is about 13 bytes per input byte (the padded copy, the 4-byte
+    words and one reused 8-byte code buffer) plus 8 bytes per state.
     """
     _require_data(data)
     if not 1 <= block_bits <= 24:
@@ -121,13 +135,15 @@ def block_entropy(data: bytes, block_bits: int) -> float:
             f"block entropy with k={block_bits} needs at least {needed} bits "
             f"({-(-needed // 8)} bytes), got {bit_length}"
         )
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     n_blocks = bit_length - block_bits + 1
-    codes = np.zeros(n_blocks, dtype=np.int64)
-    for j in range(block_bits):
-        codes <<= 1
-        codes |= bits[j : j + n_blocks]
-    counts = np.bincount(codes, minlength=1 << block_bits)
+    words = np.ndarray((len(data),), dtype=">u4", buffer=data + bytes(3), strides=(1,)).astype(np.uint32)
+    codes = np.empty(len(data), dtype=np.intp)
+    counts = np.zeros(1 << block_bits, dtype=np.int64)
+    for r in range(8):
+        c = codes[: -(-(n_blocks - r) // 8)]  # windows starting at bit offset r of a byte
+        np.right_shift(words[: c.size], 32 - r - block_bits, out=c)
+        c &= (1 << block_bits) - 1
+        counts += np.bincount(c, minlength=1 << block_bits)
     probs = counts[counts > 0] / n_blocks
     return float(-(probs * np.log(probs)).sum() / block_bits)
 
@@ -142,11 +158,12 @@ def effective_temperature(energy: float, info_nats: float) -> float:
     """Temperature of a file given its energy and estimated information.
 
     energy / (k_B * info). Returns +inf when a file carries energy but no
-    information (the degenerate fully-ordered limit).
+    information (the degenerate fully-ordered limit). A negative or NaN
+    argument raises DomainError.
     """
-    if energy < 0:
+    if not energy >= 0:
         raise DomainError(f"energy must be >= 0, got {energy}")
-    if info_nats < 0:
+    if not info_nats >= 0:
         raise DomainError(f"information must be >= 0, got {info_nats}")
     if info_nats == 0.0:
         if energy == 0.0:

@@ -12,7 +12,12 @@ Frozen parameters
 - parsing: greedy, with step acceleration through long literal runs
   (after every 64 consecutive match misses the scan step grows by one byte)
 - match search: exact 3-byte key table, at most 16 remembered positions per
-  key, most recent first; only scanned positions are inserted
+  key, most recent first; only scanned positions are inserted. Once a match
+  of length best_len is found, a candidate whose byte at offset best_len
+  differs from the current position's is skipped, and the search stops when
+  best_len reaches the end of the input. Only a strictly longer match
+  replaces the best, and neither kind of candidate can be longer, so the
+  output is the same as measuring every candidate.
 
 Container format (little-endian)
 --------------------------------
@@ -77,6 +82,19 @@ def _emit_length(out: bytearray, token_pos: int, high_nibble: bool, value: int) 
         out.append(rest)
 
 
+def _emit(out: bytearray, data: bytes, anchor: int, literal_end: int, match_len: int, offset: int) -> None:
+    """Append one block: the literals data[anchor:literal_end], then the match if any."""
+    token_pos = len(out)
+    out.append(0)
+    _emit_length(out, token_pos, True, literal_end - anchor)
+    out.extend(data[anchor:literal_end])
+    if match_len:
+        stored = offset - 1
+        out.append(stored & 0xFF)
+        out.append(stored >> 8)
+        _emit_length(out, token_pos, False, match_len - MIN_MATCH)
+
+
 def compress(data: bytes) -> bytes:
     """Compress ``data``; identical input always yields identical output."""
     n = len(data)
@@ -86,18 +104,6 @@ def compress(data: bytes) -> bytes:
     anchor = 0
     misses = 0
 
-    def emit(literal_end: int, match_len: int, offset: int) -> None:
-        token_pos = len(out)
-        out.append(0)
-        lit_len = literal_end - anchor
-        _emit_length(out, token_pos, True, lit_len)
-        out.extend(data[anchor:literal_end])
-        if match_len:
-            stored = offset - 1
-            out.append(stored & 0xFF)
-            out.append(stored >> 8)
-            _emit_length(out, token_pos, False, match_len - MIN_MATCH)
-
     while i + MIN_MATCH <= n:
         key = data[i : i + MIN_MATCH]
         candidates = table.get(key)
@@ -105,8 +111,10 @@ def compress(data: bytes) -> bytes:
         best_off = 0
         if candidates:
             for cand in reversed(candidates):
-                if i - cand > WINDOW_SIZE:
-                    break  # positions are stored in increasing order
+                if i - cand > WINDOW_SIZE or i + best_len >= n:
+                    break  # positions are stored in increasing order; no longer match fits
+                if best_len and data[cand + best_len] != data[i + best_len]:
+                    continue  # cannot exceed best_len
                 length = _match_length(data, cand, i, n)
                 if length > best_len:
                     best_len = length
@@ -119,7 +127,7 @@ def compress(data: bytes) -> bytes:
                 del candidates[0]
 
         if best_len >= MIN_MATCH:
-            emit(i, best_len, best_off)
+            _emit(out, data, anchor, i, best_len, best_off)
             i += best_len
             anchor = i
             misses = 0
@@ -128,7 +136,7 @@ def compress(data: bytes) -> bytes:
             misses += 1
 
     if anchor < n:
-        emit(n, 0, 0)
+        _emit(out, data, anchor, n, 0, 0)
     return bytes(out)
 
 

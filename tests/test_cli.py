@@ -236,6 +236,15 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("epsilon", ["inf", "nan", "1e308"])
+    def test_nonfinite_file_energy_exits_one(self, capsys, tmp_path, epsilon):
+        path = tmp_path / "ones.bin"
+        path.write_bytes(b"\xff" * 64)
+        code, out, err = run_cli(capsys, ["file", "analyze", "--epsilon", epsilon, "--path", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

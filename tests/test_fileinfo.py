@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +17,43 @@ from infotherm.errors import (
 
 BOLTZMANN = 1.380649e-23  # independent copy for oracle arithmetic
 MEGABYTE = 1 << 20
+
+
+def _entropy_from_counts(counts: np.ndarray, n_blocks: int, block_bits: int) -> float:
+    """The block-entropy float from int64 window counts in increasing code order."""
+    probs = counts[counts > 0] / n_blocks
+    return float(-(probs * np.log(probs)).sum() / block_bits)
+
+
+def enumerated_block_entropy(data: bytes, block_bits: int) -> float:
+    """Oracle: count every MSB-first bit window as a string."""
+    bits = "".join(f"{byte:08b}" for byte in data)
+    n_blocks = len(bits) - block_bits + 1
+    windows = Counter(int(bits[t : t + block_bits], 2) for t in range(n_blocks))
+    counts = np.array([windows[code] for code in sorted(windows)], dtype=np.int64)
+    return _entropy_from_counts(counts, n_blocks, block_bits)
+
+
+def shift_or_block_entropy(data: bytes, block_bits: int) -> float:
+    """Oracle: the original formula, one k-pass shift-or over unpacked bits."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    n_blocks = bits.size - block_bits + 1
+    codes = np.zeros(n_blocks, dtype=np.int64)
+    for j in range(block_bits):
+        codes <<= 1
+        codes |= bits[j : j + n_blocks]
+    counts = np.bincount(codes, minlength=1 << block_bits)
+    return _entropy_from_counts(counts, n_blocks, block_bits)
+
+
+_SHORT_RNG = np.random.default_rng(1996)
+_SHORT_BYTES = 5200  # enough bits for k = 12
+SHORT_INPUTS = {
+    "random": _SHORT_RNG.bytes(_SHORT_BYTES),
+    "sym4": _SHORT_RNG.choice(np.array([0x00, 0x3C, 0xA5, 0xFF], dtype=np.uint8), size=_SHORT_BYTES).tobytes(),
+    "ones10": np.packbits(_SHORT_RNG.random(8 * _SHORT_BYTES) < 0.1).tobytes(),
+    "periodic": b"\x96\x01" * (_SHORT_BYTES // 2),
+}
 
 
 class TestCounts:
@@ -38,6 +77,15 @@ class TestCounts:
     def test_nonpositive_bit_energy_rejected(self):
         with pytest.raises(DomainError):
             fileinfo.analyze_counts(b"\x01", 0.0)
+
+    @pytest.mark.parametrize("bit_energy", [math.inf, math.nan])
+    def test_nonfinite_bit_energy_rejected(self, bit_energy):
+        with pytest.raises(DomainError):
+            fileinfo.analyze_counts(b"a", bit_energy)
+
+    def test_overflowing_energy_rejected(self):
+        with pytest.raises(DomainError, match="overflows"):
+            fileinfo.analyze_counts(b"\xff", 1e308)
 
 
 class TestMaxInformation:
@@ -74,6 +122,11 @@ class TestFileTemperature:
         assert fileinfo.file_temperature(bit_energy) * 2 * BOLTZMANN * math.log(2) == pytest.approx(
             bit_energy, rel=1e-14
         )
+
+    @pytest.mark.parametrize("bit_energy", [math.inf, math.nan])
+    def test_nonfinite_rejected(self, bit_energy):
+        with pytest.raises(DomainError):
+            fileinfo.file_temperature(bit_energy)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
@@ -140,6 +193,25 @@ class TestBlockEntropy:
         with pytest.raises(DomainError):
             fileinfo.block_entropy(b"\x00" * 4096, k)
 
+    @pytest.mark.parametrize("name", sorted(SHORT_INPUTS))
+    def test_equals_enumeration_for_every_small_k(self, name):
+        data = SHORT_INPUTS[name]
+        for k in range(1, 13):
+            assert fileinfo.block_entropy(data, k) == enumerated_block_entropy(data, k), k
+
+    def test_equals_shift_or_formula_at_k_twenty(self):
+        data = np.random.default_rng(2020).bytes(1_320_000)  # >= 10 * 2^20 bits
+        assert fileinfo.block_entropy(data, 20) == shift_or_block_entropy(data, 20)
+
+    def test_peak_memory_per_input_byte(self, random_megabyte):
+        tracemalloc.start()
+        try:
+            fileinfo.block_entropy(random_megabyte, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * MEGABYTE
+
 
 class TestCompressionInformation:
     def test_constant_bits_collapse(self, zeros_megabyte):
@@ -193,6 +265,12 @@ class TestEffectiveTemperature:
             fileinfo.effective_temperature(-1.0, 1.0)
         with pytest.raises(DomainError):
             fileinfo.effective_temperature(1.0, -1.0)
+
+    def test_nan_arguments_rejected(self):
+        with pytest.raises(DomainError):
+            fileinfo.effective_temperature(math.nan, 1.0)
+        with pytest.raises(DomainError):
+            fileinfo.effective_temperature(1.0, math.nan)
 
 
 class TestEquilibriumScore:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,107 @@ from infotherm import lz
 from infotherm.errors import DomainError
 
 MEGABYTE = 1 << 20
+
+
+# Verbatim copy of the original coder (before the candidate-skip fast path),
+# kept as the byte-identity oracle for lz.compress.
+def _reference_match_length(data: bytes, src: int, cur: int, limit: int) -> int:
+    length = 0
+    maxlen = limit - cur
+    while length < maxlen:
+        chunk = min(512, maxlen - length)
+        if data[src + length : src + length + chunk] == data[cur + length : cur + length + chunk]:
+            length += chunk
+        else:
+            while length < maxlen and data[src + length] == data[cur + length]:
+                length += 1
+            break
+    return length
+
+
+def _reference_emit_length(out: bytearray, token_pos: int, high_nibble: bool, value: int) -> None:
+    code = min(value, 15)
+    if high_nibble:
+        out[token_pos] |= code << 4
+    else:
+        out[token_pos] |= code
+    if code == 15:
+        rest = value - 15
+        while rest >= 255:
+            out.append(255)
+            rest -= 255
+        out.append(rest)
+
+
+def reference_compress(data: bytes) -> bytes:
+    n = len(data)
+    out = bytearray()
+    table: dict[bytes, list[int]] = {}
+    i = 0
+    anchor = 0
+    misses = 0
+
+    def emit(literal_end: int, match_len: int, offset: int) -> None:
+        token_pos = len(out)
+        out.append(0)
+        lit_len = literal_end - anchor
+        _reference_emit_length(out, token_pos, True, lit_len)
+        out.extend(data[anchor:literal_end])
+        if match_len:
+            stored = offset - 1
+            out.append(stored & 0xFF)
+            out.append(stored >> 8)
+            _reference_emit_length(out, token_pos, False, match_len - 3)
+
+    while i + 3 <= n:
+        key = data[i : i + 3]
+        candidates = table.get(key)
+        best_len = 0
+        best_off = 0
+        if candidates:
+            for cand in reversed(candidates):
+                if i - cand > 65536:
+                    break  # positions are stored in increasing order
+                length = _reference_match_length(data, cand, i, n)
+                if length > best_len:
+                    best_len = length
+                    best_off = i - cand
+        if candidates is None:
+            table[key] = [i]
+        else:
+            candidates.append(i)
+            if len(candidates) > 16:
+                del candidates[0]
+
+        if best_len >= 3:
+            emit(i, best_len, best_off)
+            i += best_len
+            anchor = i
+            misses = 0
+        else:
+            i += 1 + (misses >> 6)
+            misses += 1
+
+    if anchor < n:
+        emit(n, 0, 0)
+    return bytes(out)
+
+
+CORPUS_BYTES = 64 << 10
+_WORDS = (b"the", b"of", b"heat", b"bit", b"entropy", b"gas", b"energy", b"information",
+          b"temperature", b"file", b"and", b"a", b"is", b"to", b"coder", b"window")
+
+
+def low_entropy_corpus(kind: str, seed: int = 2006) -> bytes:
+    """64 KiB of 4-symbol, 16-symbol, 10%-ones or word-text bytes."""
+    rng = np.random.default_rng(seed)
+    if kind in ("sym4", "sym16"):
+        symbols = rng.choice(256, size=4 if kind == "sym4" else 16, replace=False).astype(np.uint8)
+        return symbols[rng.integers(0, len(symbols), size=CORPUS_BYTES)].tobytes()
+    if kind == "ones10":
+        return np.packbits(rng.random(8 * CORPUS_BYTES) < 0.1).tobytes()
+    words = rng.integers(0, len(_WORDS), size=CORPUS_BYTES // 2)
+    return b" ".join(_WORDS[w] for w in words)[:CORPUS_BYTES]
 
 
 class TestRoundTrip:
@@ -62,6 +165,50 @@ class TestFrozenBehaviour:
     def test_compressed_size_bits_is_eight_times_bytes(self):
         data = b"abcabcabc"
         assert lz.compressed_size_bits(data) == 8 * len(lz.compress(data))
+
+
+class TestByteIdentity:
+    """lz.compress must emit exactly the bytes of the reference coder."""
+
+    @given(
+        st.sampled_from([1, 2, 4, 16, 256]),
+        st.integers(min_value=0, max_value=8192),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_over_alphabets(self, alphabet, size, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, alphabet, size=size, dtype=np.uint8).tobytes()
+        assert lz.compress(data) == reference_compress(data)
+
+    @given(
+        st.binary(min_size=1, max_size=300),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=299),
+        st.binary(max_size=200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_running_to_the_end(self, unit, repeats, cut, head):
+        # The last match ends exactly at the end of the buffer, so the
+        # search stops as soon as a candidate reaches it.
+        data = head + unit * repeats + unit[: cut % len(unit)]
+        assert lz.compress(data) == reference_compress(data)
+
+    @pytest.mark.parametrize("data", [b"abcabc", b"\x00" * 5, b"xyzxyzxyz", b"ab" * 3000 + b"a", b"q" * 70001])
+    def test_fixed_tails(self, data):
+        assert lz.compress(data) == reference_compress(data)
+
+    @pytest.mark.parametrize(
+        "kind,digest",
+        [
+            ("sym4", "0298f8b6cd129f301bc66870f957a8565379070d66c82e8e84259358f7bc9f2a"),
+            ("sym16", "eb6d8600af6a39d1415d9fb741104ee0561d0e24d5d2fa3804896c17e165211a"),
+            ("ones10", "f97991f8cf76d3f6690220b0dab4c2543334f43b6480aa689dcd334b4bc1ae0f"),
+            ("text", "042b9023bffe3ff0cc85e0d2cd1debb86814eb8ca635934b7e75018fff3b1d7f"),
+        ],
+    )
+    def test_pinned_low_entropy_digests(self, kind, digest):
+        assert hashlib.sha256(lz.compress(low_entropy_corpus(kind))).hexdigest() == digest
 
 
 class TestRatios:
