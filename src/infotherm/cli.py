@@ -33,8 +33,17 @@ _FORMATS = ("text", "json", "csv")
 
 
 def _count(text: str) -> int:
-    """Integer flag value; scientific notation like 1e6 is accepted."""
+    """Integer flag value; scientific notation like 1e6 is accepted.
+
+    Plain integer literals are parsed exactly, so 64-bit seeds survive.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite integer, got {text!r}")
     rounded = round(value)
     if abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")

@@ -13,13 +13,23 @@ relaxes it in contact with a cold bath using single-site-flip Metropolis
 dynamics: a uniformly chosen site flips down with certainty and flips up
 with probability exp(-bit_energy / k_B T_cold). That rule satisfies detailed
 balance at the cold temperature, so the gas relaxes to the equilibrium
-occupation law. The dynamics are a modeling choice of this package; one RNG
-draw for the site and one for the acceptance are consumed every step whether
-or not the acceptance value is needed, which pins the exact trajectory for a
-given seed.
+occupation law. The dynamics are a modeling choice of this package.
+
+Sites do not interact, so the final state has a closed form per site. A hit
+maps a site's state s to a AND NOT s, where a is that step's acceptance
+draw: a rejected hit leaves the site empty and every accepted hit toggles
+it. A site therefore ends as the parity of its hits after its last rejected
+hit, or, if it was never rejected, as its initial state XOR the parity of
+all its hits. The mean follows in closed form too: each hit maps
+P(s = 1) to b (1 - P) with b = exp(-bit_energy / k_B T_cold), so after n
+steps E[p_final] = L [q_c + (q_h - q_c) (1 - (1 + b) / L)^n], where
+q = b / (1 + b) at each bath's temperature.
 
 All randomness comes from numpy's PCG64 generator seeded with the caller's
-64-bit seed; identical seeds give bit-identical ledgers.
+seed, an integer in [0, 2**64). The draws come in a fixed order: L floats
+for the initial state, then ``steps`` site indices, then ``steps``
+acceptance floats, one per step whether or not the site was empty.
+Identical seeds give bit-identical ledgers.
 
 Bookkeeping (see ``SimLedger``): the run's ``total_entropy_change`` is the
 entropy production of the simulated relaxation leg - gas entropy change plus
@@ -117,6 +127,11 @@ class SimLedger:
     total_entropy_change: float
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _site_probability(temperature: float, bit_energy: float) -> float:
     if not (temperature > 0):
         raise DomainError(f"temperature must be > 0, got {temperature}")
@@ -137,6 +152,7 @@ def sample_equilibrium(length: int, ones: int, seed: int) -> Configuration:
         raise DomainError(f"length must be >= 1, got {length}")
     if not 0 <= ones <= length:
         raise DomainError(f"ones count must be in [0, {length}], got {ones}")
+    _check_seed(seed)
     arr = np.zeros(length, dtype=np.uint8)
     arr[:ones] = 1
     np.random.default_rng(seed).shuffle(arr)
@@ -152,6 +168,7 @@ def sample_canonical(length: int, temperature: float, bit_energy: float, seed: i
     if length < 1:
         raise DomainError(f"length must be >= 1, got {length}")
     prob = _site_probability(temperature, bit_energy)
+    _check_seed(seed)
     draws = np.random.default_rng(seed).random(length)
     return Configuration((draws < prob).astype(np.uint8).tobytes())
 
@@ -170,34 +187,19 @@ def _relax_final_state(
 ) -> np.ndarray:
     """Final state of sequential single-site Metropolis, computed per site.
 
-    Sites do not interact, so each site's trajectory depends only on its own
-    hit sequence: a hit always clears an excited site and excites an empty
-    site iff its acceptance draw passed. The fold below replays every site's
-    hits in temporal order simultaneously and is bit-identical to the naive
-    sequential loop.
+    A hit maps a site's state s to ``accept AND NOT s``, so a site is empty
+    after its last rejected hit and toggles on every later hit. Each site
+    ends as the parity of its hits after its last rejection, XOR its initial
+    state if it was never rejected. ``np.maximum.at`` finds the last
+    rejection whatever the order of repeated indices. The result is
+    bit-identical to the naive sequential loop.
     """
-    steps = len(sites)
-    state = initial.astype(bool)
-    if steps == 0:
-        return state
-    order = np.argsort(sites, kind="stable")
-    sorted_sites = sites[order]
-    sorted_accepts = accepts[order]
-    counts = np.bincount(sites, minlength=length)
-    max_hits = int(counts.max())
-    starts = np.zeros(length, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    hit_index = np.arange(steps, dtype=np.int64) - starts[sorted_sites]
-
-    accept_grid = np.zeros((length, max_hits), dtype=bool)
-    hit_grid = np.zeros((length, max_hits), dtype=bool)
-    accept_grid[sorted_sites, hit_index] = sorted_accepts
-    hit_grid[sorted_sites, hit_index] = True
-
-    for j in range(max_hits):
-        hit = hit_grid[:, j]
-        state = np.where(hit, accept_grid[:, j] & ~state, state)
-    return state
+    last_reject = np.full(length, -1, dtype=np.int64)
+    rejected = np.flatnonzero(~accepts)
+    np.maximum.at(last_reject, sites[rejected], rejected)
+    after = np.arange(len(sites)) > last_reject[sites]
+    parity = np.bincount(sites[after], minlength=length) & 1
+    return parity.astype(bool) ^ (initial.astype(bool) & (last_reject < 0))
 
 
 def simulate_transfer(
@@ -217,19 +219,19 @@ def simulate_transfer(
         raise DomainError(
             f"need t_hot > t_cold > 0, got t_hot={t_hot}, t_cold={t_cold}"
         )
+    if length < 1:
+        raise DomainError(f"length must be >= 1, got {length}")
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
+    _check_seed(seed)
 
     rng = np.random.default_rng(seed)
     prob_hot = _site_probability(t_hot, bit_energy)
     initial = rng.random(length) < prob_hot
 
-    if steps:
-        sites = rng.integers(0, length, size=steps)
-        accepts = rng.random(steps) < math.exp(-bit_energy / (K_B * t_cold))
-        final = _relax_final_state(initial, sites, accepts, length)
-    else:
-        final = initial
+    sites = rng.integers(0, length, size=steps)
+    accepts = rng.random(steps) < math.exp(-bit_energy / (K_B * t_cold))
+    final = _relax_final_state(initial, sites, accepts, length)
 
     p_initial = int(initial.sum())
     p_final = int(final.sum())
@@ -276,10 +278,17 @@ def run_ensemble(
     steps: int,
     seeds: "list[int] | range",
 ) -> list[SimLedger]:
-    """Independent runs over the given seeds, in seed order."""
+    """Independent runs over the given seeds, in seed order.
+
+    Every seed is checked before the first run starts.
+    """
+    ordered = sorted(seeds)
+    if ordered:
+        _check_seed(ordered[0])
+        _check_seed(ordered[-1])
     return [
         simulate_transfer(length, t_hot, t_cold, bit_energy, steps, seed)
-        for seed in sorted(seeds)
+        for seed in ordered
     ]
 
 

@@ -124,11 +124,18 @@ class TestClausiusCheck:
             {"delta_s": 0.0, "heat_terms": [(1.0, -4.0)]},
             {"delta_s": 0.0, "heat_terms": [(math.inf, 4.0)]},
             {"delta_s": 0.0, "info_term": -1.0},
+            {"delta_s": 0.0, "tolerance": -1.0},
         ],
     )
     def test_domain_errors(self, kwargs):
         with pytest.raises((DomainError, InvalidQuantityError)):
             clausius_check(**kwargs)
+
+    def test_nan_tolerance_rejected(self):
+        # NaN compares false both ways, which once read as "satisfied" for a
+        # slack of -1 J/K.
+        with pytest.raises(DomainError):
+            clausius_check(-1.0, (), 0.0, math.nan)
 
 
 class TestComputingBound:

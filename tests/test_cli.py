@@ -245,6 +245,47 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "seed_flags",
+        [
+            ["--seed", "-1"],
+            ["--seed", "18446744073709551616"],
+            ["--seed", "18446744073709551614", "--ensemble", "3"],
+        ],
+    )
+    def test_seed_outside_64_bits_exits_one(self, capsys, seed_flags):
+        code, out, err = run_cli(capsys, ["simulate", "--L", "10", "--t-hot", "2089.88", "--t-cold", "1044.94",
+                                          "--epsilon", "1e-20", "--steps", "10"] + seed_flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_largest_seed_is_kept_exactly(self, capsys):
+        payload = run_json(capsys, ["simulate", "--L", "10", "--t-hot", "2089.88", "--t-cold", "1044.94",
+                                    "--epsilon", "1e-20", "--steps", "10", "--seed", "18446744073709551615"])
+        assert payload["inputs"]["seed"]["value"] == 2**64 - 1
+        assert payload["results"]["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("flag,value", [("--L", "1e400"), ("--steps", "inf"), ("--steps", "nan")])
+    def test_nonfinite_count_is_a_usage_error(self, capsys, flag, value):
+        argv = {"--L": "10", "--t-hot": "2089.88", "--t-cold": "1044.94", "--epsilon": "1e-20", "--steps": "10"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate"] + [item for pair in argv.items() for item in pair])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_nan_clausius_tolerance_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "ledger.json"
+        path.write_text('{"delta_S": -1.0, "tolerance": NaN}', encoding="utf-8")
+        code, out, err = run_cli(capsys, ["clausius", "--ledger", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -45,6 +45,36 @@ def naive_metropolis(length, t_hot, t_cold, bit_energy, steps, seed):
     return p_initial, sum(state)
 
 
+def reference_relax_final_state(initial, sites, accepts, length):
+    """Oracle: the earlier per-site fold, kept verbatim as a test-local copy.
+
+    It replays every site's hits in temporal order through two
+    (length x max_hits) grids.
+    """
+    steps = len(sites)
+    state = initial.astype(bool)
+    if steps == 0:
+        return state
+    order = np.argsort(sites, kind="stable")
+    sorted_sites = sites[order]
+    sorted_accepts = accepts[order]
+    counts = np.bincount(sites, minlength=length)
+    max_hits = int(counts.max())
+    starts = np.zeros(length, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    hit_index = np.arange(steps, dtype=np.int64) - starts[sorted_sites]
+
+    accept_grid = np.zeros((length, max_hits), dtype=bool)
+    hit_grid = np.zeros((length, max_hits), dtype=bool)
+    accept_grid[sorted_sites, hit_index] = sorted_accepts
+    hit_grid[sorted_sites, hit_index] = True
+
+    for j in range(max_hits):
+        hit = hit_grid[:, j]
+        state = np.where(hit, accept_grid[:, j] & ~state, state)
+    return state
+
+
 def uniform_distribution(length, ones):
     """Oracle: explicit uniform distribution over every arrangement."""
     configs = []
@@ -256,6 +286,89 @@ class TestSimulateTransfer:
     def test_negative_steps_rejected(self):
         with pytest.raises(DomainError):
             simulate_transfer(100, 2 * T_HALF, T_HALF, BIT_ENERGY, -5, 0)
+
+
+class TestRelaxationKernel:
+    """The closed-form kernel must reproduce the replay fold exactly."""
+
+    @given(
+        length=st.integers(min_value=1, max_value=64),
+        steps=st.integers(min_value=0, max_value=3000),
+        accept_probability=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_replay_fold(self, length, steps, accept_probability, seed):
+        # All-reject and all-accept draws cannot come out of simulate_transfer,
+        # but they drive the rule's two branches on their own.
+        rng = np.random.default_rng(seed)
+        initial = rng.random(length) < 0.5
+        sites = rng.integers(0, length, size=steps)
+        accepts = rng.random(steps) < accept_probability
+        final = mcsim._relax_final_state(initial, sites, accepts, length)
+        expected = reference_relax_final_state(initial, sites, accepts, length)
+        assert final.dtype == expected.dtype
+        assert np.array_equal(final, expected)
+
+    @pytest.mark.parametrize(
+        "length,steps,seed,p_initial,p_final",
+        [
+            (1, 0, 0, 0, 0),
+            (1, 50, 1, 0, 0),
+            (64, 3000, 2, 25, 22),
+            (1000, 10**5, 3, 415, 325),
+            (15000, 1_500_000, 4, 6241, 4923),
+            (200, 200, 2**64 - 1, 84, 87),
+        ],
+    )
+    def test_pinned_occupations(self, length, steps, seed, p_initial, p_final):
+        # Recorded with the replay fold; the RNG protocol is unchanged.
+        ledger = simulate_transfer(length, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, seed)
+        assert (ledger.p_initial, ledger.p_final) == (p_initial, p_final)
+
+    def test_finite_step_mean_is_exact(self):
+        # At steps = L the gas is far from the cold occupation law, so only
+        # the exact finite-step mean fits.
+        length, steps, t_hot = 200, 200, 8 * T_HALF
+        b_cold = math.exp(-BIT_ENERGY / (BOLTZMANN * T_HALF))
+        b_hot = math.exp(-BIT_ENERGY / (BOLTZMANN * t_hot))
+        q_cold, q_hot = b_cold / (1 + b_cold), b_hot / (1 + b_hot)
+        exact = length * (q_cold + (q_hot - q_cold) * (1 - (1 + b_cold) / length) ** steps)
+        finals = np.array(
+            [led.p_final for led in run_ensemble(length, t_hot, T_HALF, BIT_ENERGY, steps, range(400))],
+            dtype=float,
+        )
+        se = finals.std(ddof=1) / math.sqrt(len(finals))
+        assert abs(finals.mean() - exact) < 4 * se
+        assert abs(finals.mean() - length * q_cold) > 10 * se
+
+
+class TestSimulateValidation:
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_nonpositive_length_rejected(self, length):
+        with pytest.raises(DomainError):
+            simulate_transfer(length, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(DomainError):
+            simulate_transfer(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, seed)
+        with pytest.raises(DomainError):
+            sample_equilibrium(10, 3, seed)
+        with pytest.raises(DomainError):
+            sample_canonical(10, T_HALF, BIT_ENERGY, seed)
+
+    def test_largest_seed_accepted(self):
+        assert simulate_transfer(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, 2**64 - 1).seed == 2**64 - 1
+
+    def test_ensemble_checks_every_seed_before_running(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mcsim, "simulate_transfer", lambda *args: calls.append(args))
+        with pytest.raises(DomainError):
+            run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, range(2**64 - 2, 2**64 + 1))
+        with pytest.raises(DomainError):
+            run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, [3, -1, 5])
+        assert calls == []
 
 
 class TestEnsemble:
