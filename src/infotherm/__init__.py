@@ -7,6 +7,11 @@ entropies and temperatures, byte-level file analysis (energy, information
 estimates, effective temperature, incompressibility scoring), broadcast
 temperatures and range/information bounds, a Clausius-inequality checker,
 and a seed-reproducible Monte Carlo verifier of the second law.
+
+Only the file analysis and the simulation need numpy. ``mcsim`` and its
+names below are loaded on first access (PEP 562), and ``fileinfo`` imports
+numpy inside ``block_entropy``, so importing the package or running a
+closed-form calculator never loads numpy.
 """
 
 from .bounds import (
@@ -48,17 +53,6 @@ from .fileinfo import (
     max_information,
     shannon_entropy_order0,
 )
-from .mcsim import (
-    ConfigDistribution,
-    Configuration,
-    SimLedger,
-    ensemble_summary,
-    h_function,
-    run_ensemble,
-    sample_canonical,
-    sample_equilibrium,
-    simulate_transfer,
-)
 from .quantities import C_LIGHT, K_B, LN2, convert_information
 from .twolevel import (
     GasSpec,
@@ -74,3 +68,31 @@ from .twolevel import (
 )
 
 __version__ = "0.1.0"
+
+#: Public names of :mod:`infotherm.mcsim`, resolved on first access.
+_MCSIM_NAMES = (
+    "ConfigDistribution",
+    "Configuration",
+    "SimLedger",
+    "ensemble_summary",
+    "h_function",
+    "run_ensemble",
+    "sample_canonical",
+    "sample_equilibrium",
+    "simulate_transfer",
+)
+
+
+def __getattr__(name):
+    if name == "mcsim" or name in _MCSIM_NAMES:
+        import importlib
+
+        # import_module, not ``from . import``: the latter probes this
+        # package's attributes and would re-enter this hook.
+        mcsim = importlib.import_module(f"{__name__}.mcsim")
+        return mcsim if name == "mcsim" else getattr(mcsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "mcsim", *_MCSIM_NAMES})

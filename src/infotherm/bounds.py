@@ -83,8 +83,8 @@ def clausius_check(
     if tolerance is None:
         scale = max(abs(delta_s), math.fsum(abs(h) / t for h, t in terms), info_si)
         tolerance = _RELATIVE_TOLERANCE * scale
-    elif not tolerance >= 0:
-        raise DomainError(f"tolerance must be >= 0, got {tolerance}")
+    elif not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
 
     if abs(slack) <= tolerance:
         verdict = VERDICT_EQUALITY

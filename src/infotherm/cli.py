@@ -19,12 +19,13 @@ Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 
 import argparse
 import csv as csv_module
+import functools
 import json
 import math
 import os
 import sys
 
-from . import bounds, broadcast, fileinfo, mcsim, twolevel
+from . import bounds, broadcast, fileinfo, twolevel
 from .errors import DomainError
 from .quantities import K_B, LN2, convert_information
 
@@ -158,10 +159,6 @@ def _render(env: Envelope, fmt: str, stream) -> None:
 # handlers
 
 
-def _temperature_value(temp: twolevel.GasTemperature) -> float:
-    return temp.kelvin
-
-
 def _handle_gas(args) -> Envelope:
     action = args.gas_action
     env = Envelope(f"gas {action}")
@@ -171,7 +168,7 @@ def _handle_gas(args) -> Envelope:
         env.add_input("p", args.p, "count")
         env.add_input("epsilon", args.epsilon, "J")
         temp = twolevel.gas_temperature(spec)
-        env.add("temperature", _temperature_value(temp), "K")
+        env.add("temperature", temp.kelvin, "K")
         env.add("inverted", temp.inverted)
         if temp.infinite:
             env.warn("infinite temperature: occupation is exactly half filling")
@@ -221,7 +218,7 @@ def _handle_gas(args) -> Envelope:
             env.add("temperature", None, "K")
             env.warn("temperature undefined at the occupation endpoints (zero-temperature limit)")
         else:
-            env.add("temperature", _temperature_value(state.temperature), "K")
+            env.add("temperature", state.temperature.kelvin, "K")
             env.add("inverted", state.temperature.inverted)
             if state.temperature.infinite:
                 env.warn("infinite temperature: occupation is exactly half filling")
@@ -351,27 +348,41 @@ def _handle_compute_bound(args) -> Envelope:
     return env
 
 
+def _ledger_number(value, field: str):
+    """A ledger field that must be a finite JSON number; returned unchanged."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise DomainError(f"ledger {field} must be a finite number, got {value!r}")
+    return value
+
+
 def _handle_clausius(args) -> Envelope:
     env = Envelope("clausius")
-    if args.ledger == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
-    else:
-        with open(args.ledger, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        source = args.ledger
+    source = "<stdin>" if args.ledger == "-" else args.ledger
     try:
+        if args.ledger == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.ledger, "r", encoding="utf-8") as handle:
+                text = handle.read()
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DomainError(f"ledger is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "delta_S" not in payload:
         raise DomainError('ledger JSON must be an object with at least "delta_S"')
-    heat_terms = [tuple(term) for term in payload.get("heat_terms", [])]
+    heat_terms = payload.get("heat_terms", [])
+    if not isinstance(heat_terms, list) or not all(isinstance(t, list) and len(t) == 2 for t in heat_terms):
+        raise DomainError(f"ledger heat_terms must be a list of [heat, temperature] pairs, got {heat_terms!r}")
+    tolerance = payload.get("tolerance")
     ledger = bounds.clausius_check(
-        delta_s=float(payload["delta_S"]),
-        heat_terms=heat_terms,
-        info_term=float(payload.get("info_term", 0.0)),
-        tolerance=payload.get("tolerance"),
+        delta_s=float(_ledger_number(payload["delta_S"], "delta_S")),
+        heat_terms=[(_ledger_number(q, "heat term"), _ledger_number(t, "heat-term temperature"))
+                    for q, t in heat_terms],
+        info_term=float(_ledger_number(payload.get("info_term", 0.0), "info_term")),
+        tolerance=None if tolerance is None else _ledger_number(tolerance, "tolerance"),
     )
     env.add_input("ledger", source, "path")
     env.add("delta_s", ledger.delta_s, "J/K")
@@ -383,7 +394,7 @@ def _handle_clausius(args) -> Envelope:
     return env
 
 
-def _ledger_results(led: mcsim.SimLedger) -> dict:
+def _ledger_results(led) -> dict:
     return {
         "seed": led.seed,
         "steps": led.steps,
@@ -419,6 +430,8 @@ _LEDGER_UNITS = {
 
 
 def _handle_simulate(args) -> Envelope:
+    from . import mcsim  # here, so that the calculator commands never import numpy
+
     env = Envelope("simulate")
     env.add_input("L", args.L, "count")
     env.add_input("t_hot", args.t_hot, "K")
@@ -453,7 +466,12 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--csv", action="store_true", help="emit CSV: header row then data rows (default: text)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, built on the first call and shared by every later one.
+
+    Callers must not modify it: ``main`` reuses it for every invocation.
+    """
     parser = argparse.ArgumentParser(
         prog="infotherm",
         description="Thermodynamics of bits: two-level gas, file analysis, broadcast and computing bounds.",
@@ -649,11 +667,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     _render(env, fmt, sys.stdout)
     return 0
-
-
-def run(argv: list[str] | None = None) -> int:
-    """Alias for :func:`main`, the documented entry point."""
-    return main(argv)
 
 
 if __name__ == "__main__":

@@ -24,8 +24,6 @@ Bit order within a byte is most-significant-bit first everywhere.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import lz
 from .errors import DomainError, EmptyFileError, SampleSizeError, UndefinedTemperatureError
 from .quantities import K_B, LN2
@@ -135,6 +133,8 @@ def block_entropy(data: bytes, block_bits: int) -> float:
             f"block entropy with k={block_bits} needs at least {needed} bits "
             f"({-(-needed // 8)} bytes), got {bit_length}"
         )
+    import numpy as np  # here, not at module level: only this function needs it
+
     n_blocks = bit_length - block_bits + 1
     words = np.ndarray((len(data),), dtype=">u4", buffer=data + bytes(3), strides=(1,)).astype(np.uint32)
     codes = np.empty(len(data), dtype=np.intp)

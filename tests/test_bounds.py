@@ -125,6 +125,7 @@ class TestClausiusCheck:
             {"delta_s": 0.0, "heat_terms": [(math.inf, 4.0)]},
             {"delta_s": 0.0, "info_term": -1.0},
             {"delta_s": 0.0, "tolerance": -1.0},
+            {"delta_s": 0.0, "tolerance": math.inf},
         ],
     )
     def test_domain_errors(self, kwargs):

@@ -286,6 +286,30 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "ledger",
+        [
+            '{"delta_S": "abc"}',
+            '{"delta_S": [1]}',
+            '{"delta_S": 1e-22, "heat_terms": [[1]]}',
+            '{"delta_S": 1e-22, "heat_terms": 5}',
+            '{"delta_S": 1e-22, "heat_terms": [["a", 300]]}',
+            '{"delta_S": 1e-22, "info_term": null}',
+            '{"delta_S": 1e-22, "tolerance": "x"}',
+            '{"delta_S": -1.0, "tolerance": Infinity}',
+            '\xff{"delta_S": 1e-22}',
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+        ],
+    )
+    def test_malformed_clausius_ledger_exits_one(self, capsys, tmp_path, ledger):
+        path = tmp_path / "ledger.json"
+        path.write_bytes(ledger.encode("latin-1"))
+        code, out, err = run_cli(capsys, ["clausius", "--ledger", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -355,3 +379,108 @@ class TestDeterminism:
         first = self._run(argv, stdin_bytes=random_megabyte[:65536])
         second = self._run(argv, stdin_bytes=random_megabyte[:65536])
         assert first == second
+
+
+#: Every public name of the package, pinned when ``mcsim`` became lazy.
+PUBLIC_NAMES = [
+    "BroadcastBalance", "BroadcastInformation", "C_LIGHT", "ConfigDistribution", "Configuration",
+    "DomainError", "EmptyFileError", "EntropyLedger", "FileReport", "GasSpec", "GasState",
+    "GasTemperature", "InvalidDistributionError", "InvalidQuantityError", "K_B", "LN2", "LinkBudget",
+    "ReceiverTemperature", "SampleSizeError", "SimLedger", "TransferLedger", "UndefinedTemperatureError",
+    "analyze", "analyze_counts", "block_entropy", "bounds", "broadcast", "broadcast_entropy_balance",
+    "carnot_efficiency", "clausius_check", "compression_information", "convert_information",
+    "effective_temperature", "ensemble_summary", "entropy_stirling", "equilibrium_score",
+    "equivalent_bit_energy", "equivalent_power", "errors", "file_temperature", "fileinfo", "gas_state",
+    "gas_temperature", "h_function", "lz", "max_broadcast_information", "max_computing_rate",
+    "max_information", "max_range", "mcsim", "multiplicity_ln", "occupation_at", "quantities",
+    "receiver_temperature", "run_ensemble", "sample_canonical", "sample_equilibrium",
+    "shannon_entropy_order0", "simulate_transfer", "transfer_entropy_delta", "transmitter_temperature",
+    "twolevel",
+]
+
+#: Runs every calculator in-process in a fresh interpreter, then the two
+#: numpy commands; prints the exit codes and when numpy got loaded.
+_LAZY_IMPORT_SCRIPT = """
+import contextlib, io, json, sys
+import infotherm
+import infotherm.cli as cli
+
+ledger, data = sys.argv[1:]
+calculators = [
+    ["gas", "temperature", "--L", "1000", "--p", "100", "--epsilon", "1e-21"],
+    ["gas", "entropy", "--L", "1000", "--p", "100"],
+    ["gas", "occupation", "--L", "1000", "--T", "300", "--epsilon", "1e-21"],
+    ["gas", "transfer", "--L", "1000", "--p-hot", "300", "--p-cold", "100", "--epsilon", "1e-21"],
+    ["gas", "state", "--L", "1000", "--p", "100", "--epsilon", "1e-21", "--json"],
+    ["broadcast", "range", "--power", "50", "--bit-rate", "9e8"],
+    ["broadcast", "temperature", "--power", "50", "--bit-rate", "9e8", "--distance", "1e5"],
+    ["broadcast", "balance", "--info-bits", "1e6", "--receivers", "5", "--csv"],
+    ["broadcast", "capacity", "--bit-rate", "1e9", "--carrier", "9e8", "--radius", "1.0"],
+    ["compute-bound", "--power", "1"],
+    ["clausius", "--ledger", ledger],
+    ["sweep", "--param", "epsilon", "--start", "1e-21", "--stop", "1e-19", "--count", "3", "--log", "--",
+     "gas", "temperature", "--L", "1000", "--p", "100"],
+]
+heavy = [
+    ["file", "analyze", "--epsilon", "1e-21", "--path", data],
+    ["simulate", "--L", "100", "--t-hot", "2000", "--t-cold", "1000", "--epsilon", "1e-20", "--steps", "1000"],
+]
+report = {"numpy_after_import": "numpy" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()):
+    report["calculator_codes"] = [cli.main(argv) for argv in calculators]
+    report["numpy_after_calculators"] = "numpy" in sys.modules
+    report["heavy_codes"] = [cli.main(argv) for argv in heavy]
+print(json.dumps(report))
+"""
+
+
+def _fresh_interpreter(script: str, *args: str) -> str:
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, check=True, text=True).stdout
+
+
+class TestInProcessUse:
+    def test_calculators_never_import_numpy(self, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps({"delta_S": 1e-22, "heat_terms": [[3e-20, 300.0]]}))
+        data = tmp_path / "data.bin"
+        data.write_bytes(bytes(range(256)) * 64)
+        report = json.loads(_fresh_interpreter(_LAZY_IMPORT_SCRIPT, str(ledger), str(data)))
+        assert report == {
+            "numpy_after_import": False,
+            "calculator_codes": [0] * 12,
+            "numpy_after_calculators": False,
+            "heavy_codes": [0, 0],
+        }
+
+    def test_every_public_name_resolves(self):
+        # The lazy submodule is checked first: any mcsim name would import it.
+        script = (
+            "import json, sys, infotherm; names = json.loads(sys.argv[1]); "
+            "print(json.dumps([hasattr(infotherm, 'mcsim'), [n for n in names if n not in dir(infotherm)], "
+            "[n for n in names if not hasattr(infotherm, n)]]))"
+        )
+        assert json.loads(_fresh_interpreter(script, json.dumps(PUBLIC_NAMES))) == [True, [], []]
+        from infotherm import SimLedger, simulate_transfer  # noqa: F401  (the lazy path of a from-import)
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_usage_error_leaks_nothing_into_the_next_call(self, capsys):
+        argv = ["broadcast", "range", "--power", "50", "--bit-rate", "9e8"]
+        for bad in (["--area-mode", "bogus"], ["--margin", "3", "--json", "--csv"], ["--criterion"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + bad)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        fresh = subprocess.run([sys.executable, "-m", "infotherm", *argv], capture_output=True, check=True, text=True)
+        assert out == fresh.stdout
+
+    def test_the_format_variable_is_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["compute-bound", "--power", "1"]
+        for fmt, start in (("json", "{"), ("csv", "max_rate\n"), ("text", "command: compute-bound"), ("json", "{")):
+            monkeypatch.setenv(cli.FORMAT_ENV_VAR, fmt)
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            assert out.startswith(start), fmt
