@@ -16,8 +16,8 @@ macroscopic entropies alike.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidQuantityError
-from .quantities import K_B, LN2
+from .errors import DomainError, InvalidQuantityError, require_positive
+from .quantities import K_B, LN2, unit
 
 VERDICT_SATISFIED = "satisfied"
 VERDICT_VIOLATED = "violated"
@@ -35,18 +35,17 @@ class EntropyLedger:
     and "satisfied" otherwise.
     """
 
-    delta_s: float  # J/K
-    heat_terms: tuple[tuple[float, float], ...]  # (delta_Q in J, T in K) pairs
-    info_term: float  # nats
-    slack: float  # J/K
-    tolerance: float  # J/K
-    verdict: str
+    delta_s: float = unit("J/K")
+    heat_terms: tuple[tuple[float, float], ...] = unit(None)  # (delta_Q in J, T in K) pairs
+    info_term: float = unit("nats")
+    slack: float = unit("J/K")
+    tolerance: float = unit("J/K")
+    verdict: str = unit(None)
 
 
 def carnot_efficiency(t_hot: float, t_cold: float) -> float:
     """Maximum work fraction extractable between two baths: 1 - T_cold/T_hot."""
-    if not (t_cold > 0 and math.isfinite(t_cold)):
-        raise DomainError(f"t_cold must be finite and > 0, got {t_cold}")
+    require_positive(t_cold=t_cold)
     if not t_hot > t_cold:
         raise DomainError(
             f"no extractable work: t_hot ({t_hot}) must exceed t_cold ({t_cold})"
@@ -109,10 +108,7 @@ def max_computing_rate(power: float, noise_temperature: float, margin: float = 1
     temperature, and the operating temperature must clear the ambient noise
     temperature by ``margin``, so f <= P / (margin k_B ln 2 T_n).
     """
-    if not (power > 0 and math.isfinite(power)):
-        raise DomainError(f"power must be finite and > 0, got {power}")
-    if not (noise_temperature > 0 and math.isfinite(noise_temperature)):
-        raise DomainError(f"noise_temperature must be finite and > 0, got {noise_temperature}")
+    require_positive(power=power, noise_temperature=noise_temperature)
     if not margin >= 1:
         raise DomainError(f"margin must be >= 1, got {margin}")
     return power / (margin * K_B * LN2 * noise_temperature)

@@ -26,17 +26,11 @@ with bit energy 2P/f.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .quantities import C_LIGHT, K_B, LN2
+from .errors import DomainError, require_positive
+from .quantities import C_LIGHT, K_B, LN2, unit
 
 #: Detection criteria accepted by :func:`max_range`.
 RANGE_CRITERIA = ("bit-energy", "file-temperature")
-
-
-def _require_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not (value > 0 and math.isfinite(value)):
-            raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,7 @@ class LinkBudget:
     snr_margin: float = 10.0
 
     def __post_init__(self):
-        _require_positive(
+        require_positive(
             power=self.power,
             bit_rate=self.bit_rate,
             receiver_area=self.receiver_area,
@@ -66,9 +60,9 @@ class LinkBudget:
         if self.carrier_frequency is None:
             object.__setattr__(self, "carrier_frequency", self.bit_rate)
         else:
-            _require_positive(carrier_frequency=self.carrier_frequency)
+            require_positive(carrier_frequency=self.carrier_frequency)
         if self.distance is not None:
-            _require_positive(distance=self.distance)
+            require_positive(distance=self.distance)
 
     @property
     def wavelength(self) -> float:
@@ -76,7 +70,7 @@ class LinkBudget:
 
     def received_bit_energy(self, distance: float) -> float:
         """Per-bit energy at a receiver of this budget's area at ``distance``."""
-        _require_positive(distance=distance)
+        require_positive(distance=distance)
         return (self.power / self.bit_rate) * self.receiver_area / (4.0 * math.pi * distance**2)
 
 
@@ -84,9 +78,9 @@ class LinkBudget:
 class BroadcastBalance:
     """Entropy increase when one file reaches ``receivers`` antennas."""
 
-    info_per_file: float  # nats
-    receivers: int
-    entropy_increase: float  # J/K
+    info_per_file: float = unit("nats")
+    receivers: int = unit("count")
+    entropy_increase: float = unit("J/K")
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ class BroadcastInformation:
 
 def transmitter_temperature(power: float, bit_rate: float) -> float:
     """Source temperature in power/rate units: P / (k_B f ln 2)."""
-    _require_positive(power=power, bit_rate=bit_rate)
+    require_positive(power=power, bit_rate=bit_rate)
     return power / (K_B * bit_rate * LN2)
 
 
@@ -129,7 +123,7 @@ def receiver_temperature(source_kelvin: float, area: float, distance: float) -> 
     The caller owns the plausibility of the geometry; a factor >= 1 (receiver
     area at least the full sphere) is flagged, not rejected.
     """
-    _require_positive(source_kelvin=source_kelvin, area=area, distance=distance)
+    require_positive(source_kelvin=source_kelvin, area=area, distance=distance)
     factor = area / (4.0 * math.pi * distance**2)
     return ReceiverTemperature(kelvin=source_kelvin * factor, geometric_factor=factor)
 
@@ -181,7 +175,7 @@ def max_broadcast_information(
     radius well above the wavelength; smaller radii are flagged via
     ``subwavelength``.
     """
-    _require_positive(
+    require_positive(
         bit_rate=bit_rate,
         carrier_frequency=carrier_frequency,
         antenna_radius=antenna_radius,
@@ -197,11 +191,11 @@ def max_broadcast_information(
 
 def equivalent_bit_energy(power: float, bit_rate: float) -> float:
     """One-bit energy matching average power for a random file: 2 P / f."""
-    _require_positive(power=power, bit_rate=bit_rate)
+    require_positive(power=power, bit_rate=bit_rate)
     return 2.0 * power / bit_rate
 
 
 def equivalent_power(bit_energy: float, bit_rate: float) -> float:
     """Average power of a random file with the given one-bit energy: f e / 2."""
-    _require_positive(bit_energy=bit_energy, bit_rate=bit_rate)
+    require_positive(bit_energy=bit_energy, bit_rate=bit_rate)
     return bit_rate * bit_energy / 2.0

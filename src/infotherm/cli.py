@@ -11,6 +11,11 @@ with a unit), results (flat values), units (unit string per numeric result)
 and warnings. Non-finite numbers are serialized as the strings "inf",
 "-inf" and "nan". The schema ships in ``infotherm/data/output_schema.json``.
 
+A result dataclass declares the unit of each reported field on the field
+itself (``quantities.unit``). ``Envelope.add_results`` copies exactly the
+fields that declare a unit, in field order; a field without one (an echoed
+input) is not reported.
+
 All numeric flags accept scientific notation. Units are fixed SI; there is
 no unit-suffix parsing.
 
@@ -19,6 +24,7 @@ Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 
 import argparse
 import csv as csv_module
+import dataclasses
 import functools
 import json
 import math
@@ -69,8 +75,23 @@ class Envelope:
         if unit is not None:
             self.units[name] = unit
 
+    def add_results(self, result):
+        """Add every field of a result dataclass that declares a unit."""
+        for name, unit in _reported_fields(type(result)):
+            self.add(name, getattr(result, name), unit)
+
     def warn(self, message: str):
         self.warnings.append(message)
+
+
+@functools.cache
+def _reported_fields(cls) -> tuple[tuple[str, str | None], ...]:
+    """(name, unit) of each field of ``cls`` declared with ``quantities.unit``."""
+    return tuple((f.name, f.metadata["unit"]) for f in dataclasses.fields(cls) if "unit" in f.metadata)
+
+
+#: Result values rendered as one JSON value in text and left out of CSV rows.
+_COMPOUND = (list, tuple, dict)
 
 
 def _jsonable(value):
@@ -104,7 +125,7 @@ def _render_text(env: Envelope, stream) -> None:
         stream.write(f"  {name} = {_format_scalar(entry['value'])} [{entry['unit']}]\n")
     stream.write("results:\n")
     for name, value in env.results.items():
-        if isinstance(value, (list, dict)):
+        if isinstance(value, _COMPOUND):
             stream.write(f"  {name} = {json.dumps(_jsonable(value))}\n")
             continue
         unit = env.units.get(name)
@@ -134,7 +155,7 @@ def _csv_rows(env: Envelope) -> tuple[list[str], list[list[str]]]:
             [_format_scalar(run[key]) for key in header] for run in env.results["runs"]
         ]
         return header, rows
-    header = [k for k, v in env.results.items() if not isinstance(v, (list, dict))]
+    header = [k for k, v in env.results.items() if not isinstance(v, _COMPOUND)]
     row = [_format_scalar(env.results[k]) for k in header]
     return header, [row]
 
@@ -197,12 +218,7 @@ def _handle_gas(args) -> Envelope:
         env.add_input("p_cold", args.p_cold, "count")
         env.add_input("epsilon", args.epsilon, "J")
         ledger = twolevel.transfer_entropy_delta(args.L, args.p_hot, args.p_cold, args.epsilon)
-        env.add("delta_q", ledger.delta_q, "J")
-        env.add("delta_s_occupation", ledger.delta_s_occupation, "J/K")
-        env.add("delta_s_clausius", ledger.delta_s_clausius, "J/K")
-        env.add("t_hot", ledger.t_hot, "K")
-        env.add("t_cold", ledger.t_cold, "K")
-        env.add("canonical", ledger.canonical)
+        env.add_results(ledger)
         if not ledger.canonical:
             env.warn("non-canonical ordering: expected 0 < p_cold <= p_hot < L/2")
     else:  # state
@@ -238,20 +254,7 @@ def _handle_file(args) -> Envelope:
     env.add_input("epsilon", args.epsilon, "J")
     env.add_input("block_k", args.block_k, "bit")
     report = fileinfo.analyze(data, args.epsilon, args.block_k)
-    for name, unit in (
-        ("bit_length", "bit"),
-        ("ones_count", "count"),
-        ("bit_energy", "J"),
-        ("energy", "J"),
-        ("info_max", "nats"),
-        ("info_order0", "nats"),
-        ("info_block_k", "nats"),
-        ("info_compression", "nats"),
-        ("file_temperature", "K"),
-        ("effective_temperature", "K"),
-        ("equilibrium_score", "dimensionless"),
-    ):
-        env.add(name, getattr(report, name), unit)
+    env.add_results(report)
     if report.info_block_k is None:
         env.warn("input too short for block entropy even at k=1; info_block_k omitted")
     if report.is_equilibrium:
@@ -321,9 +324,7 @@ def _handle_broadcast(args) -> Envelope:
         env.add_input("info", info, "nats")
         env.add_input("receivers", args.receivers, "count")
         balance = broadcast.broadcast_entropy_balance(info, args.receivers)
-        env.add("info_per_file", balance.info_per_file, "nats")
-        env.add("receivers", balance.receivers, "count")
-        env.add("entropy_increase", balance.entropy_increase, "J/K")
+        env.add_results(balance)
         env.add("information_increase", balance.entropy_increase / K_B, "nats")
     else:  # capacity
         env.add_input("bit_rate", args.bit_rate, "bit/s")
@@ -346,6 +347,10 @@ def _handle_compute_bound(args) -> Envelope:
     env.add_input("margin", args.margin, "dimensionless")
     env.add("max_rate", bounds.max_computing_rate(args.power, args.noise_temp, args.margin), "bit/s")
     return env
+
+
+#: The keys a clausius ledger may have; a misspelt key is an error, never ignored.
+_LEDGER_KEYS = ("delta_S", "heat_terms", "info_term", "tolerance")
 
 
 def _ledger_number(value, field: str):
@@ -373,6 +378,9 @@ def _handle_clausius(args) -> Envelope:
         raise DomainError(f"ledger is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "delta_S" not in payload:
         raise DomainError('ledger JSON must be an object with at least "delta_S"')
+    unknown = sorted(payload.keys() - _LEDGER_KEYS)
+    if unknown:
+        raise DomainError(f"ledger has unknown keys {unknown}; allowed keys are {', '.join(_LEDGER_KEYS)}")
     heat_terms = payload.get("heat_terms", [])
     if not isinstance(heat_terms, list) or not all(isinstance(t, list) and len(t) == 2 for t in heat_terms):
         raise DomainError(f"ledger heat_terms must be a list of [heat, temperature] pairs, got {heat_terms!r}")
@@ -385,48 +393,8 @@ def _handle_clausius(args) -> Envelope:
         tolerance=None if tolerance is None else _ledger_number(tolerance, "tolerance"),
     )
     env.add_input("ledger", source, "path")
-    env.add("delta_s", ledger.delta_s, "J/K")
-    env.add("heat_terms", [list(term) for term in ledger.heat_terms])
-    env.add("info_term", ledger.info_term, "nats")
-    env.add("slack", ledger.slack, "J/K")
-    env.add("tolerance", ledger.tolerance, "J/K")
-    env.add("verdict", ledger.verdict)
+    env.add_results(ledger)
     return env
-
-
-def _ledger_results(led) -> dict:
-    return {
-        "seed": led.seed,
-        "steps": led.steps,
-        "length": led.length,
-        "p_initial": led.p_initial,
-        "p_final": led.p_final,
-        "energy_initial": led.energy_initial,
-        "energy_final": led.energy_final,
-        "heat_to_cold": led.heat_to_cold,
-        "entropy_hot_bath": led.entropy_hot_bath,
-        "entropy_cold_bath": led.entropy_cold_bath,
-        "entropy_gas_change": led.entropy_gas_change,
-        "entropy_full_transfer": led.entropy_full_transfer,
-        "total_entropy_change": led.total_entropy_change,
-    }
-
-
-_LEDGER_UNITS = {
-    "seed": "count",
-    "steps": "count",
-    "length": "count",
-    "p_initial": "count",
-    "p_final": "count",
-    "energy_initial": "J",
-    "energy_final": "J",
-    "heat_to_cold": "J",
-    "entropy_hot_bath": "J/K",
-    "entropy_cold_bath": "J/K",
-    "entropy_gas_change": "J/K",
-    "entropy_full_transfer": "J/K",
-    "total_entropy_change": "J/K",
-}
 
 
 def _handle_simulate(args) -> Envelope:
@@ -441,13 +409,13 @@ def _handle_simulate(args) -> Envelope:
     env.add_input("seed", args.seed, "count")
     if args.ensemble is None:
         led = mcsim.simulate_transfer(args.L, args.t_hot, args.t_cold, args.epsilon, args.steps, args.seed)
-        for name, value in _ledger_results(led).items():
-            env.add(name, value, _LEDGER_UNITS[name])
+        env.add_results(led)
     else:
         env.add_input("ensemble", args.ensemble, "count")
         seeds = range(args.seed, args.seed + args.ensemble)
         ledgers = mcsim.run_ensemble(args.L, args.t_hot, args.t_cold, args.epsilon, args.steps, seeds)
-        env.add("runs", [_ledger_results(led) for led in ledgers])
+        fields = _reported_fields(mcsim.SimLedger)
+        env.add("runs", [{name: getattr(led, name) for name, _ in fields} for led in ledgers])
         summary = mcsim.ensemble_summary(ledgers)
         summary["run_count"] = summary.pop("runs")
         for name, value in summary.items():
@@ -635,7 +603,7 @@ def _handle_sweep(args, parser: argparse.ArgumentParser, stream) -> None:
     for value in _sweep_values(args):
         sub_args = parser.parse_args(target + [flag, repr(value)])
         env = _execute(sub_args)
-        scalars = {k: v for k, v in env.results.items() if not isinstance(v, (list, dict))}
+        scalars = {k: v for k, v in env.results.items() if not isinstance(v, _COMPOUND)}
         if header is None:
             header = [args.param] + list(scalars)
         rows.append([_format_scalar(value)] + [_format_scalar(scalars.get(k)) for k in header[1:]])

@@ -5,6 +5,8 @@ CLI) can map them to a single exit path. The more specific subclasses exist
 where the failure mode is worth distinguishing programmatically.
 """
 
+import math
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -28,3 +30,10 @@ class UndefinedTemperatureError(DomainError):
 
 class InvalidDistributionError(DomainError):
     """A probability distribution that is not normalized or not a distribution."""
+
+
+def require_positive(**values: float) -> None:
+    """Raise DomainError naming the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise DomainError(f"{name} must be finite and > 0, got {value}")

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 from . import lz
-from .errors import DomainError, EmptyFileError, SampleSizeError, UndefinedTemperatureError
-from .quantities import K_B, LN2
+from .errors import DomainError, EmptyFileError, SampleSizeError, UndefinedTemperatureError, require_positive
+from .quantities import K_B, LN2, unit
 
 #: Block size used for the block-entropy field of a standard report.
 DEFAULT_BLOCK_BITS = 8
@@ -42,17 +42,17 @@ _MIN_SAMPLES_PER_STATE = 10
 class FileReport:
     """Per-file analysis; information fields are totals in nats."""
 
-    bit_length: int
-    ones_count: int
-    bit_energy: float
-    energy: float
-    info_max: float
-    info_order0: float
-    info_block_k: float | None
-    info_compression: float
-    file_temperature: float
-    effective_temperature: float
-    equilibrium_score: float
+    bit_length: int = unit("bit")
+    ones_count: int = unit("count")
+    bit_energy: float = unit("J")
+    energy: float = unit("J")
+    info_max: float = unit("nats")
+    info_order0: float = unit("nats")
+    info_block_k: float | None = unit("nats")
+    info_compression: float = unit("nats")
+    file_temperature: float = unit("K")
+    effective_temperature: float = unit("K")
+    equilibrium_score: float = unit("dimensionless")
 
     @property
     def is_equilibrium(self) -> bool:
@@ -64,15 +64,15 @@ def _require_data(data: bytes) -> None:
         raise EmptyFileError("cannot analyze an empty byte sequence")
 
 
-def _require_bit_energy(bit_energy: float) -> None:
-    if not (bit_energy > 0 and math.isfinite(bit_energy)):
-        raise DomainError(f"bit_energy must be finite and > 0, got {bit_energy}")
+def _check_block_bits(block_bits: int) -> None:
+    if not 1 <= block_bits <= 24:
+        raise DomainError(f"block size must be in [1, 24] bits, got {block_bits}")
 
 
 def analyze_counts(data: bytes, bit_energy: float) -> tuple[int, int, float]:
     """(bit length, ones count, energy in J) of a byte sequence."""
     _require_data(data)
-    _require_bit_energy(bit_energy)
+    require_positive(bit_energy=bit_energy)
     bit_length = 8 * len(data)
     ones = int.from_bytes(data, "big").bit_count()
     energy = ones * bit_energy
@@ -94,7 +94,7 @@ def file_temperature(bit_energy: float) -> float:
     Independent of length and content by construction (the ones fraction of
     a random file is 1/2).
     """
-    _require_bit_energy(bit_energy)
+    require_positive(bit_energy=bit_energy)
     return bit_energy / (2.0 * K_B * LN2)
 
 
@@ -124,8 +124,7 @@ def block_entropy(data: bytes, block_bits: int) -> float:
     words and one reused 8-byte code buffer) plus 8 bytes per state.
     """
     _require_data(data)
-    if not 1 <= block_bits <= 24:
-        raise DomainError(f"block size must be in [1, 24] bits, got {block_bits}")
+    _check_block_bits(block_bits)
     bit_length = 8 * len(data)
     needed = _MIN_SAMPLES_PER_STATE * (1 << block_bits)
     if bit_length < needed:
@@ -187,8 +186,7 @@ def analyze(data: bytes, bit_energy: float, block_bits: int = DEFAULT_BLOCK_BITS
     is used. The effective temperature uses the compression estimate, the
     tightest of the three information estimates for correlated files.
     """
-    if not 1 <= block_bits <= 24:
-        raise DomainError(f"block size must be in [1, 24] bits, got {block_bits}")
+    _check_block_bits(block_bits)
     bit_length, ones, energy = analyze_counts(data, bit_energy)
     info_max = max_information(bit_length)
     info_order0 = shannon_entropy_order0(data) * bit_length

@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidDistributionError
-from .quantities import K_B
-from .twolevel import multiplicity_ln, transfer_entropy_delta
+from .errors import DomainError, InvalidDistributionError, require_positive
+from .quantities import K_B, unit
+from .twolevel import _check_counts, multiplicity_ln, transfer_entropy_delta
 
 _PROB_SUM_TOLERANCE = 1e-12
 
@@ -109,22 +109,22 @@ class SimLedger:
     broader bookkeeping pictures (module docstring).
     """
 
-    seed: int
-    steps: int
-    length: int
+    seed: int = unit("count")
+    steps: int = unit("count")
+    length: int = unit("count")
     t_hot: float
     t_cold: float
     bit_energy: float
-    p_initial: int
-    p_final: int
-    energy_initial: float
-    energy_final: float
-    heat_to_cold: float
-    entropy_hot_bath: float
-    entropy_cold_bath: float
-    entropy_gas_change: float
-    entropy_full_transfer: float | None
-    total_entropy_change: float
+    p_initial: int = unit("count")
+    p_final: int = unit("count")
+    energy_initial: float = unit("J")
+    energy_final: float = unit("J")
+    heat_to_cold: float = unit("J")
+    entropy_hot_bath: float = unit("J/K")
+    entropy_cold_bath: float = unit("J/K")
+    entropy_gas_change: float = unit("J/K")
+    entropy_full_transfer: float | None = unit("J/K")
+    total_entropy_change: float = unit("J/K")
 
 
 def _check_seed(seed: int) -> None:
@@ -135,8 +135,7 @@ def _check_seed(seed: int) -> None:
 def _site_probability(temperature: float, bit_energy: float) -> float:
     if not (temperature > 0):
         raise DomainError(f"temperature must be > 0, got {temperature}")
-    if not (bit_energy > 0 and math.isfinite(bit_energy)):
-        raise DomainError(f"bit_energy must be finite and > 0, got {bit_energy}")
+    require_positive(bit_energy=bit_energy)
     boltzmann = math.exp(-bit_energy / (K_B * temperature)) if math.isfinite(temperature) else 1.0
     return boltzmann / (1.0 + boltzmann)
 
@@ -148,10 +147,7 @@ def sample_equilibrium(length: int, ones: int, seed: int) -> Configuration:
     a string with the required ones count, so every arrangement is equally
     likely and the result is fixed by the seed.
     """
-    if length < 1:
-        raise DomainError(f"length must be >= 1, got {length}")
-    if not 0 <= ones <= length:
-        raise DomainError(f"ones count must be in [0, {length}], got {ones}")
+    _check_counts(length, ones)
     _check_seed(seed)
     arr = np.zeros(length, dtype=np.uint8)
     arr[:ones] = 1

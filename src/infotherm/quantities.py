@@ -16,6 +16,7 @@ Unit relations: 1 bit = ln 2 nats, and an amount of information I (nats)
 corresponds to an entropy k_B * I in J/K.
 """
 
+import dataclasses
 import math
 
 from .errors import InvalidQuantityError
@@ -31,6 +32,18 @@ LN2 = 0.6931471805599453
 
 #: Units accepted by :func:`convert_information`.
 INFORMATION_UNITS = ("nats", "bits", "J/K")
+
+
+def unit(symbol: str | None):
+    """Declare a result dataclass field together with the unit it is reported in.
+
+    A field declared with ``unit`` is a reported result: the CLI copies it,
+    in field order, into the envelope's ``results``, and ``symbol`` into
+    ``units``. ``symbol`` is None for a result without a unit, such as a flag
+    or a verdict. A field declared without ``unit`` (an echoed input) is not
+    reported.
+    """
+    return dataclasses.field(metadata={"unit": symbol})
 
 
 def _check_amount(nats: float) -> float:

@@ -24,8 +24,8 @@ from a hot bath to a cold one, charging the full gas energy to both baths
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .quantities import K_B
+from .errors import DomainError, require_positive
+from .quantities import K_B, unit
 
 
 def _check_counts(length: int, ones: int) -> None:
@@ -45,8 +45,7 @@ class GasSpec:
 
     def __post_init__(self):
         _check_counts(self.length, self.ones)
-        if not (self.bit_energy > 0 and math.isfinite(self.bit_energy)):
-            raise DomainError(f"bit_energy must be finite and > 0, got {self.bit_energy}")
+        require_positive(bit_energy=self.bit_energy)
 
     @property
     def energy(self) -> float:
@@ -102,12 +101,12 @@ class TransferLedger:
     p_hot: int
     p_cold: int
     bit_energy: float
-    delta_q: float
-    delta_s_occupation: float
-    delta_s_clausius: float
-    t_hot: float
-    t_cold: float
-    canonical: bool
+    delta_q: float = unit("J")
+    delta_s_occupation: float = unit("J/K")
+    delta_s_clausius: float = unit("J/K")
+    t_hot: float = unit("K")
+    t_cold: float = unit("K")
+    canonical: bool = unit(None)
 
 
 def multiplicity_ln(length: int, ones: int) -> float:

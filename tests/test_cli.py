@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -9,6 +10,11 @@ import jsonschema
 import pytest
 
 from infotherm import cli
+from infotherm.bounds import EntropyLedger
+from infotherm.broadcast import BroadcastBalance
+from infotherm.fileinfo import FileReport
+from infotherm.mcsim import SimLedger
+from infotherm.twolevel import TransferLedger
 
 SCHEMA = json.loads(
     resources.files("infotherm").joinpath("data/output_schema.json").read_text(encoding="utf-8")
@@ -299,6 +305,7 @@ class TestExitCodes:
             '{"delta_S": -1.0, "tolerance": Infinity}',
             '\xff{"delta_S": 1e-22}',
             pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+            pytest.param('{"delta_S": 1e-23, "heat_term": [[3e-20, 300.0]]}', id="misspelt-heat_terms"),
         ],
     )
     def test_malformed_clausius_ledger_exits_one(self, capsys, tmp_path, ledger):
@@ -309,6 +316,12 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+    def test_unknown_clausius_keys_are_named(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"delta_S": 1e-23, "heat_term": [], "info": 0}'))
+        code, out, err = run_cli(capsys, ["clausius"])
+        assert code == 1
+        assert "unknown keys ['heat_term', 'info']" in err
 
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -484,3 +497,22 @@ class TestInProcessUse:
             code, out, _ = run_cli(capsys, argv)
             assert code == 0
             assert out.startswith(start), fmt
+
+
+class TestDeclaredUnits:
+    """The envelope reports exactly the dataclass fields declared with ``quantities.unit``."""
+
+    @pytest.mark.parametrize(
+        "cls,unreported,unitless",
+        [
+            (TransferLedger, {"length", "p_hot", "p_cold", "bit_energy"}, {"canonical"}),
+            (SimLedger, {"t_hot", "t_cold", "bit_energy"}, set()),
+            (FileReport, set(), set()),
+            (EntropyLedger, set(), {"heat_terms", "verdict"}),
+            (BroadcastBalance, set(), set()),
+        ],
+    )
+    def test_only_input_echoes_are_unreported(self, cls, unreported, unitless):
+        fields = dataclasses.fields(cls)
+        assert {f.name for f in fields if "unit" not in f.metadata} == unreported
+        assert {f.name for f in fields if f.metadata.get("unit", "") is None} == unitless
