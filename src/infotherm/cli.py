@@ -32,7 +32,7 @@ import os
 import sys
 
 from . import bounds, broadcast, fileinfo, twolevel
-from .errors import DomainError
+from .errors import DomainError, require_within_budget
 from .quantities import K_B, LN2, convert_information
 
 FORMAT_ENV_VAR = "INFOTHERM_FORMAT"
@@ -573,9 +573,15 @@ def _execute(args) -> Envelope:
     return _HANDLERS[args.command](args)
 
 
+#: Bytes a sweep keeps per point, rounded up: its value and its CSV row
+#: (about 1.2 KB measured for the widest row, a simulate ledger).
+_SWEEP_POINT_BYTES = 2048
+
+
 def _sweep_values(args) -> list[float]:
     if args.count < 1:
         raise DomainError(f"sweep count must be >= 1, got {args.count}")
+    require_within_budget(args.count * _SWEEP_POINT_BYTES, f"a sweep of {args.count} points")
     if args.count == 1:
         return [args.start]
     if args.log:

@@ -7,6 +7,10 @@ where the failure mode is worth distinguishing programmatically.
 
 import math
 
+#: Most memory, in bytes, that one simulation, ensemble or sweep may ask for.
+#: Each request is checked against it before anything is allocated.
+MEMORY_BUDGET = 2 * 2**30
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -37,3 +41,13 @@ def require_positive(**values: float) -> None:
     for name, value in values.items():
         if not (value > 0 and math.isfinite(value)):
             raise DomainError(f"{name} must be finite and > 0, got {value}")
+
+
+def require_within_budget(nbytes: int, request: str) -> None:
+    """Raise DomainError when ``request`` would need more than MEMORY_BUDGET bytes."""
+    if nbytes > MEMORY_BUDGET:
+        tenths = nbytes * 10 // 2**30  # integer arithmetic: nbytes may exceed any float
+        raise DomainError(
+            f"{request} needs about {tenths // 10}.{tenths % 10} GiB of memory, "
+            f"more than the budget of {MEMORY_BUDGET // 2**30} GiB"
+        )

@@ -171,11 +171,14 @@ def effective_temperature(energy: float, info_nats: float) -> float:
     return energy / (K_B * info_nats)
 
 
+def _clamped_score(info_compression: float, info_max: float) -> float:
+    return min(1.0, max(0.0, info_compression / info_max))
+
+
 def equilibrium_score(data: bytes) -> float:
     """Compression information over maximum information, clamped to [0, 1]."""
     _require_data(data)
-    score = compression_information(data) / max_information(8 * len(data))
-    return min(1.0, max(0.0, score))
+    return _clamped_score(compression_information(data), max_information(8 * len(data)))
 
 
 def analyze(data: bytes, bit_energy: float, block_bits: int = DEFAULT_BLOCK_BITS) -> FileReport:
@@ -197,7 +200,6 @@ def analyze(data: bytes, bit_energy: float, block_bits: int = DEFAULT_BLOCK_BITS
     info_block = block_entropy(data, k) * bit_length if k >= 1 else None
 
     info_comp = compression_information(data)
-    score = min(1.0, max(0.0, info_comp / info_max))
     return FileReport(
         bit_length=bit_length,
         ones_count=ones,
@@ -209,5 +211,5 @@ def analyze(data: bytes, bit_energy: float, block_bits: int = DEFAULT_BLOCK_BITS
         info_compression=info_comp,
         file_temperature=file_temperature(bit_energy),
         effective_temperature=effective_temperature(energy, info_comp),
-        equilibrium_score=score,
+        equilibrium_score=_clamped_score(info_comp, info_max),
     )

@@ -31,6 +31,16 @@ for the initial state, then ``steps`` site indices, then ``steps``
 acceptance floats, one per step whether or not the site was empty.
 Identical seeds give bit-identical ledgers.
 
+Memory: a run keeps one compact buffer of site indices, of dtype
+``np.min_scalar_type(L - 1)``: 1 byte per step for L <= 256, 2 for
+L <= 65536 and 4 below 2**32. Everything else is drawn and relaxed in
+chunks of max(2**18, L) steps, so the rest of the working set is O(L + chunk).
+One L=15000 run of 1.5e6 steps peaks at about 8.5 MiB traced, and L=1e6
+with 1e8 steps at about 413 MiB. Before allocating anything,
+``simulate_transfer`` and ``run_ensemble`` check an upper bound on the
+memory they need against ``errors.MEMORY_BUDGET`` (2 GiB) and raise
+DomainError if it is exceeded.
+
 Bookkeeping (see ``SimLedger``): the run's ``total_entropy_change`` is the
 entropy production of the simulated relaxation leg - gas entropy change plus
 cold-bath gain. The hot bath's preparation debit (-initial energy / T_hot)
@@ -43,15 +53,29 @@ occupations, is also reported for comparison.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidDistributionError, require_positive
+from .errors import DomainError, InvalidDistributionError, require_positive, require_within_budget
 from .quantities import K_B, unit
 from .twolevel import _check_counts, multiplicity_ln, transfer_entropy_delta
 
 _PROB_SUM_TOLERANCE = 1e-12
+
+#: Steps drawn and relaxed per chunk, or L if that is larger, so that the
+#: kernel's O(L) work per chunk is spread over at least L steps.
+_CHUNK_STEPS = 2**18
+
+#: Bytes per site and per chunk step that bound a run's working memory apart
+#: from its site buffer: the initial draw, one chunk's int64 site and float64
+#: acceptance draws, and the kernel's index and count temporaries.
+_WORK_BYTES = 64
+
+#: Bytes an ensemble keeps per finished run, rounded up: its ledger, its
+#: entry in the sorted seed list and the row a caller builds from the ledger.
+_RUN_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -198,6 +222,44 @@ def _relax_final_state(
     return parity.astype(bool) ^ (initial.astype(bool) & (last_reject < 0))
 
 
+def _chunk_steps(length: int) -> int:
+    return max(_CHUNK_STEPS, length)
+
+
+def _relax_bytes(length: int, steps: int) -> int:
+    """Upper bound, in bytes, on the memory of one run: the site buffer plus one chunk's work."""
+    site_bytes = np.min_scalar_type(max(length - 1, 0)).itemsize
+    return steps * site_bytes + _WORK_BYTES * (length + _chunk_steps(length))
+
+
+def _relax(
+    length: int, prob_hot: float, accept_probability: float, steps: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Initial and final state of one run, drawn in the protocol's order.
+
+    All site indices are drawn before any acceptance float. ``integers``
+    rejection-samples, so its raw-draw count depends on the data and the
+    acceptance stream's start is known only once every site is drawn. The
+    sites therefore go into one compact buffer, then the acceptance floats
+    are drawn and folded into the state one chunk at a time. Drawing in
+    chunks yields the same numbers as one call, because the bit generator
+    holds the half-word buffer of numpy's bounded 32-bit path, and
+    ``_relax_final_state`` composes exactly across chunks.
+    """
+    rng = np.random.default_rng(seed)
+    initial = rng.random(length) < prob_hot
+    chunk = _chunk_steps(length)
+    sites = np.empty(steps, dtype=np.min_scalar_type(length - 1))
+    for start in range(0, steps, chunk):
+        part = sites[start:start + chunk]
+        part[:] = rng.integers(0, length, size=part.size)
+    final = initial
+    for start in range(0, steps, chunk):
+        part = sites[start:start + chunk]
+        final = _relax_final_state(final, part, rng.random(part.size) < accept_probability, length)
+    return initial, final
+
+
 def simulate_transfer(
     length: int,
     t_hot: float,
@@ -209,7 +271,9 @@ def simulate_transfer(
     """Prepare a gas hot, relax it cold, and account for the entropy.
 
     For reliable relaxation use steps >= 100 * length. ``steps = 0`` returns
-    the prepared state unchanged.
+    the prepared state unchanged. A run whose memory bound (module docstring)
+    exceeds ``errors.MEMORY_BUDGET`` raises DomainError before anything is
+    allocated.
     """
     if not (t_cold > 0 and t_hot > t_cold):
         raise DomainError(
@@ -221,13 +285,9 @@ def simulate_transfer(
         raise DomainError(f"steps must be >= 0, got {steps}")
     _check_seed(seed)
 
-    rng = np.random.default_rng(seed)
     prob_hot = _site_probability(t_hot, bit_energy)
-    initial = rng.random(length) < prob_hot
-
-    sites = rng.integers(0, length, size=steps)
-    accepts = rng.random(steps) < math.exp(-bit_energy / (K_B * t_cold))
-    final = _relax_final_state(initial, sites, accepts, length)
+    require_within_budget(_relax_bytes(length, steps), f"a run of L={length} with {steps} steps")
+    initial, final = _relax(length, prob_hot, math.exp(-bit_energy / (K_B * t_cold)), steps, seed)
 
     p_initial = int(initial.sum())
     p_final = int(final.sum())
@@ -276,8 +336,14 @@ def run_ensemble(
 ) -> list[SimLedger]:
     """Independent runs over the given seeds, in seed order.
 
-    Every seed is checked before the first run starts.
+    Every seed, and the memory of the whole ensemble, is checked before the
+    first run starts.
     """
+    try:
+        runs = len(seeds)
+    except OverflowError:  # a range longer than sys.maxsize
+        raise DomainError(f"an ensemble of more than {sys.maxsize} runs is over the memory budget") from None
+    require_within_budget(runs * _RUN_BYTES + _relax_bytes(length, steps), f"an ensemble of {runs} runs")
     ordered = sorted(seeds)
     if ordered:
         _check_seed(ordered[0])

@@ -170,8 +170,7 @@ def occupation_at(length: int, temperature: float, bit_energy: float) -> float:
         raise DomainError(f"length must be >= 1, got {length}")
     if not temperature > 0:
         raise DomainError(f"temperature must be > 0, got {temperature}")
-    if not bit_energy > 0:
-        raise DomainError(f"bit_energy must be > 0, got {bit_energy}")
+    require_positive(bit_energy=bit_energy)
     x = bit_energy / (K_B * temperature)
     # exp(-x) never overflows for x > 0; underflow to 0 is the correct limit.
     boltzmann = math.exp(-x)

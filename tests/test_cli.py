@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -19,6 +20,10 @@ from infotherm.twolevel import TransferLedger
 SCHEMA = json.loads(
     resources.files("infotherm").joinpath("data/output_schema.json").read_text(encoding="utf-8")
 )
+
+
+#: A simulate command line without L, steps or ensemble.
+SIMULATE = ["simulate", "--t-hot", "600", "--t-cold", "300", "--epsilon", "4.14e-21"]
 
 
 def run_cli(capsys, argv):
@@ -316,6 +321,38 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+    def test_infinite_occupation_energy_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, ["gas", "occupation", "--L", "10", "--T", "300", "--epsilon", "inf"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(SIMULATE + ["--L", "1000", "--steps", "1e12"], id="steps-1e12"),
+            pytest.param(SIMULATE + ["--L", "1e9"], id="L-1e9-default-steps"),
+            pytest.param(SIMULATE + ["--L", "10", "--steps", "10", "--ensemble", "1e12"], id="ensemble-1e12"),
+            pytest.param(SIMULATE + ["--L", "10", "--steps", "10", "--ensemble", "1e20"], id="ensemble-1e20"),
+            pytest.param(["sweep", "--param", "epsilon", "--start", "1e-21", "--stop", "1e-19", "--count", "1e12",
+                          "--", "gas", "temperature", "--L", "1000", "--p", "250"], id="sweep-count-1e12"),
+        ],
+    )
+    def test_over_budget_request_exits_one_before_allocating(self, capsys, argv):
+        cli.build_parser()  # the cached parser is built outside the traced call
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "budget" in err
+        assert peak < 2**20
 
     def test_unknown_clausius_keys_are_named(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO('{"delta_S": 1e-23, "heat_term": [], "info": 0}'))

@@ -315,6 +315,18 @@ class TestReport:
             assert report.info_order0 + 1e-6 * report.info_max >= report.info_block_k
             assert report.info_block_k >= report.info_compression - allowance
 
+    def test_coder_runs_once_and_score_matches_the_standalone_score(self, monkeypatch):
+        from infotherm import lz
+
+        calls = []
+        coder = lz.compressed_size_bits
+        monkeypatch.setattr(lz, "compressed_size_bits", lambda data: calls.append(1) or coder(data))
+        for data in (b"\x00" * 4096, bytes(range(256)) * 16, b"\xa7"):
+            calls.clear()
+            report = fileinfo.analyze(data, 1e-20)
+            assert len(calls) == 1
+            assert report.equilibrium_score == fileinfo.equilibrium_score(data)
+
     def test_block_entropy_falls_back_for_short_input(self):
         report = fileinfo.analyze(b"\xa7\x00\xff", 1e-20)  # 24 bits: only k=1 feasible
         assert report.info_block_k is not None

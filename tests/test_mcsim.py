@@ -1,5 +1,8 @@
+import contextlib
 import math
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from infotherm import mcsim, twolevel
-from infotherm.errors import DomainError, InvalidDistributionError
+from infotherm.errors import MEMORY_BUDGET, DomainError, InvalidDistributionError
 from infotherm.mcsim import (
     ConfigDistribution,
     Configuration,
@@ -73,6 +76,33 @@ def reference_relax_final_state(initial, sites, accepts, length):
         hit = hit_grid[:, j]
         state = np.where(hit, accept_grid[:, j] & ~state, state)
     return state
+
+
+def single_shot_relax(length, prob_hot, accept_probability, steps, seed):
+    """Oracle: the earlier draw-and-relax path, kept verbatim as a test-local copy.
+
+    It holds every draw of the run at once: int64 sites, float64 acceptance
+    draws and the kernel's index arrays.
+    """
+    rng = np.random.default_rng(seed)
+    initial = rng.random(length) < prob_hot
+
+    sites = rng.integers(0, length, size=steps)
+    accepts = rng.random(steps) < accept_probability
+    final = mcsim._relax_final_state(initial, sites, accepts, length)
+    return initial, final
+
+
+@contextlib.contextmanager
+def traced():
+    """Trace allocations in the block; the yielded list receives the peak in bytes."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+        peak.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
 
 
 def uniform_distribution(length, ones):
@@ -341,6 +371,98 @@ class TestRelaxationKernel:
         se = finals.std(ddof=1) / math.sqrt(len(finals))
         assert abs(finals.mean() - exact) < 4 * se
         assert abs(finals.mean() - length * q_cold) > 10 * se
+
+
+#: The site probability at 2 T_HALF and the acceptance probability at T_HALF,
+#: as ``simulate_transfer`` computes them.
+PROB_HOT = mcsim._site_probability(2 * T_HALF, BIT_ENERGY)
+ACCEPT = math.exp(-BIT_ENERGY / (BOLTZMANN * T_HALF))
+#: Seeds of the pinned runs, the largest seed and one from the ledger tests.
+KNOWN_SEEDS = [0, 1, 2, 3, 4, 5, 77, 123, 2**64 - 1]
+
+
+class TestStreamedRelaxation:
+    """Drawing and relaxing in chunks must reproduce the single-shot path exactly."""
+
+    @given(
+        length=st.one_of(st.integers(min_value=1, max_value=64), st.just(15000)),
+        chunk_floor=st.sampled_from([1, 7, 4097, mcsim._CHUNK_STEPS]),
+        seed=st.one_of(st.sampled_from(KNOWN_SEEDS), st.integers(min_value=0, max_value=2**64 - 1)),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_single_shot_path(self, length, chunk_floor, seed, data):
+        chunk = max(chunk_floor, length)
+        steps = data.draw(
+            st.one_of(st.integers(min_value=0, max_value=3).map(lambda k: k * chunk),
+                      st.integers(min_value=0, max_value=3 * chunk)),
+            label="steps",
+        )
+        with mock.patch.object(mcsim, "_CHUNK_STEPS", chunk_floor):
+            initial, final = mcsim._relax(length, PROB_HOT, ACCEPT, steps, seed)
+        expected_initial, expected_final = single_shot_relax(length, PROB_HOT, ACCEPT, steps, seed)
+        assert np.array_equal(initial, expected_initial)
+        assert final.dtype == expected_final.dtype
+        assert np.array_equal(final, expected_final)
+
+    @pytest.mark.parametrize(
+        "length,steps,seed",
+        [(15000, 3 * 2**18, 1), (15000, 2**18 + 1, 2), (64, 2**18, 2**64 - 1), (1, 2 * 2**18 - 1, 3)],
+    )
+    def test_ledgers_match_the_single_shot_path_at_the_real_chunk(self, length, steps, seed):
+        ledger = simulate_transfer(length, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, seed)
+        initial, final = single_shot_relax(length, PROB_HOT, ACCEPT, steps, seed)
+        assert (ledger.p_initial, ledger.p_final) == (int(initial.sum()), int(final.sum()))
+
+    @pytest.mark.parametrize("high", [1, 2, 7, 65536, 2**32 - 1, 2**32, 2**32 + 1])
+    def test_bounded_draws_in_pieces_equal_one_draw(self, high):
+        whole_rng, piece_rng = np.random.default_rng(11), np.random.default_rng(11)
+        whole = whole_rng.integers(0, high, size=10_007)
+        pieces = [piece_rng.integers(0, high, size=n) for n in (1, 2, 4097, 3, 5904)]
+        assert np.array_equal(whole, np.concatenate(pieces))
+        # The half-word buffer of the bounded 32-bit path is part of the state.
+        assert whole_rng.bit_generator.state == piece_rng.bit_generator.state
+        assert whole_rng.random() == piece_rng.random()
+
+    @pytest.mark.parametrize("length,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                              (65536, np.uint16), (65537, np.uint32)])
+    def test_budget_charges_one_compact_index_per_step(self, length, dtype):
+        assert mcsim._relax_bytes(length, 10**6) - mcsim._relax_bytes(length, 0) == 10**6 * np.dtype(dtype).itemsize
+
+
+class TestMemoryBudget:
+    def test_one_benchmark_sized_run_stays_small(self):
+        with traced() as peak:
+            simulate_transfer(15000, 2 * T_HALF, T_HALF, BIT_ENERGY, 1_500_000, 4)
+        assert peak[0] < 16 * 2**20  # measured 8.5 MiB; the single-shot path took 43 MiB
+
+    @pytest.mark.parametrize("length,steps", [(1000, 10**6), (70000, 3 * 10**5), (2**18, 2**18), (15000, 0)])
+    def test_the_checked_estimate_bounds_the_traced_peak(self, length, steps):
+        with traced() as peak:
+            simulate_transfer(length, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, 5)
+        assert peak[0] <= mcsim._relax_bytes(length, steps)
+
+    @pytest.mark.parametrize("length,steps", [(1000, 10**12), (10**9, 10**11), (10**8, 0)])
+    def test_over_budget_run_is_rejected_before_allocating(self, length, steps):
+        with traced() as peak, pytest.raises(DomainError, match="budget"):
+            simulate_transfer(length, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, 0)
+        assert peak[0] < 2**20
+
+    def test_largest_run_within_budget_is_accepted_by_the_check(self, monkeypatch):
+        monkeypatch.setattr(mcsim, "_relax", lambda length, *args: (np.zeros(length, bool),) * 2)
+        steps = (MEMORY_BUDGET - mcsim._relax_bytes(1000, 0)) // 2
+        assert simulate_transfer(1000, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, 0).steps == steps
+        with pytest.raises(DomainError, match="budget"):
+            simulate_transfer(1000, 2 * T_HALF, T_HALF, BIT_ENERGY, steps + 1, 0)
+
+    @pytest.mark.parametrize("seeds", [range(10**12), range(10**20), range(2**64 - 10**12, 2**64 + 5)])
+    def test_over_budget_ensemble_is_rejected_before_any_run(self, monkeypatch, seeds):
+        calls = []
+        monkeypatch.setattr(mcsim, "simulate_transfer", lambda *args: calls.append(args))
+        with traced() as peak, pytest.raises(DomainError, match="budget"):
+            run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, seeds)
+        assert peak[0] < 2**20
+        assert calls == []
 
 
 class TestSimulateValidation:

@@ -177,6 +177,11 @@ class TestOccupation:
         with pytest.raises(DomainError):
             occupation_at(100, -5.0, 1e-20)
 
+    @pytest.mark.parametrize("bit_energy", [0.0, -1e-20, math.inf, math.nan])
+    def test_bit_energy_must_be_finite_and_positive(self, bit_energy):
+        with pytest.raises(DomainError):
+            occupation_at(10, 300.0, bit_energy)
+
 
 class TestTransferLedger:
     def test_equal_occupations_carry_no_entropy(self):
