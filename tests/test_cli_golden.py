@@ -1,6 +1,8 @@
-"""Frozen CLI output: full stdout of the result-reporting commands, byte for byte.
+"""Frozen CLI output: full stdout of every command, byte for byte.
 
-``cli_golden.json`` holds the stdout of every case below. Re-record it with
+``cli_golden.json`` holds the stdout of every case below: each result
+command in text, JSON and CSV (warning paths included), sweeps, and every
+``--help`` text at a fixed terminal width. Re-record it with
 ``PYTHONPATH=src python tests/test_cli_golden.py``, but only when a change
 to the CLI output is intended.
 """
@@ -29,10 +31,50 @@ _HASHED = b"".join(hashlib.sha256(i.to_bytes(4, "big")).digest() for i in range(
 _LEDGER = json.dumps({"delta_S": 1e-23, "heat_terms": [[3e-20, 300.0], [-1e-20, 600.0]], "info_term": 2.5}).encode()
 _FORMATS = {"text": [], "json": ["--json"], "csv": ["--csv"]}
 
+#: Terminal width for the help texts: argparse wraps them to $COLUMNS.
+_COLUMNS = "80"
+
+#: Every parser that prints a help text, from the top level down.
+_HELP_COMMANDS = (
+    [], ["gas"], ["gas", "temperature"], ["gas", "entropy"], ["gas", "occupation"], ["gas", "transfer"],
+    ["gas", "state"], ["file"], ["file", "analyze"], ["broadcast"], ["broadcast", "range"],
+    ["broadcast", "temperature"], ["broadcast", "balance"], ["broadcast", "capacity"], ["compute-bound"],
+    ["clausius"], ["simulate"], ["sweep"],
+)
+
 
 def _cases() -> dict:
     """Case id -> (argv, stdin bytes)."""
+    gas = ["--epsilon", "1e-21"]
     base = {
+        "gas-temperature": (["gas", "temperature", "--L", "1000", "--p", "100"] + gas, b""),
+        "gas-temperature-half-filling": (["gas", "temperature", "--L", "10", "--p", "5"] + gas, b""),
+        "gas-temperature-inverted": (["gas", "temperature", "--L", "10", "--p", "7"] + gas, b""),
+        "gas-entropy": (["gas", "entropy", "--L", "1000", "--p", "100"], b""),
+        "gas-entropy-endpoint": (["gas", "entropy", "--L", "1000", "--p", "0"], b""),
+        "gas-occupation": (["gas", "occupation", "--L", "1000", "--T", "300", "--epsilon", "4.14e-21"], b""),
+        "gas-state": (["gas", "state", "--L", "1000", "--p", "100"] + gas, b""),
+        "gas-state-endpoint": (["gas", "state", "--L", "1000", "--p", "0"] + gas, b""),
+        "gas-state-half-filling": (["gas", "state", "--L", "10", "--p", "5"] + gas, b""),
+        "gas-state-inverted": (["gas", "state", "--L", "10", "--p", "7"] + gas, b""),
+        "broadcast-range": (["broadcast", "range", "--power", "50", "--bit-rate", "9e8"], b""),
+        "broadcast-range-options": (["broadcast", "range", "--power", "1", "--bit-rate", "1e6", "--carrier", "1e9",
+                                     "--area-mode", "wavelength-squared-over-100", "--noise-temp", "50",
+                                     "--margin", "3", "--criterion", "file-temperature"], b""),
+        "broadcast-range-area": (["broadcast", "range", "--power", "1", "--bit-rate", "1e6", "--area", "2.5"], b""),
+        "broadcast-temperature": (["broadcast", "temperature", "--power", "50", "--bit-rate", "9e8"], b""),
+        "broadcast-temperature-unused-geometry": (["broadcast", "temperature", "--power", "1", "--bit-rate", "1e6",
+                                                   "--carrier", "1e9", "--area", "3"], b""),
+        "broadcast-temperature-distance": (["broadcast", "temperature", "--power", "50", "--bit-rate", "9e8",
+                                            "--distance", "1000"], b""),
+        "broadcast-temperature-oversized": (["broadcast", "temperature", "--power", "1", "--bit-rate", "1e6",
+                                             "--carrier", "1e9", "--distance", "0.01", "--area", "10"], b""),
+        "broadcast-capacity": (["broadcast", "capacity", "--bit-rate", "1e9", "--carrier", "1e9", "--radius", "10"],
+                               b""),
+        "broadcast-capacity-subwavelength": (["broadcast", "capacity", "--bit-rate", "1e6", "--carrier", "1e6",
+                                              "--radius", "1", "--duration", "2"], b""),
+        "compute-bound": (["compute-bound", "--power", "1"], b""),
+        "compute-bound-options": (["compute-bound", "--power", "1e-3", "--noise-temp", "4", "--margin", "2"], b""),
         "gas-transfer": (["gas", "transfer", "--L", "1000", "--p-hot", "200", "--p-cold", "100",
                           "--epsilon", "1e-21"], b""),
         "gas-transfer-noncanonical": (["gas", "transfer", "--L", "1000", "--p-hot", "100", "--p-cold", "700",
@@ -58,6 +100,20 @@ def _cases() -> dict:
                 "--steps", "5000", "--seed", "40", "--ensemble", "3"]
     for fmt, flags in _FORMATS.items():
         cases[f"simulate-ensemble-{fmt}"] = (ensemble + flags, b"")
+    sweeps = {
+        "linear": ["--param", "p", "--start", "5", "--stop", "1", "--count", "5", "--",
+                   "gas", "temperature", "--L", "10", "--epsilon", "1e-20"],
+        "log": ["--param", "epsilon", "--start", "1e-21", "--stop", "1e-19", "--count", "3", "--log", "--",
+                "gas", "temperature", "--L", "10", "--p", "2"],
+        "count": ["--param", "L", "--start", "10", "--stop", "30", "--count", "3", "--", "gas", "entropy", "--p", "2"],
+        "simulate": ["--param", "t_cold", "--start", "100", "--stop", "500", "--count", "3", "--",
+                     "simulate", "--L", "50", "--t-hot", "2000", "--epsilon", "1e-20", "--steps", "2000",
+                     "--seed", "5"],
+    }
+    for name, argv in sweeps.items():
+        cases[f"sweep-{name}"] = (["sweep"] + argv, b"")
+    for command in _HELP_COMMANDS:
+        cases["help-" + "-".join(command or ["infotherm"])] = (command + ["--help"], b"")
     return cases
 
 
@@ -65,12 +121,17 @@ CASES = _cases()
 
 
 def stdout_of(argv: list[str], stdin: bytes) -> str:
-    """What ``infotherm argv`` prints, run in-process with the default format."""
+    """What ``infotherm argv`` prints, run in-process with the default format.
+
+    ``--help`` ends in SystemExit(0); its text is returned like any output.
+    """
     out, saved = io.StringIO(), sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     finally:
         sys.stdin = saved
     if code != 0:
@@ -90,6 +151,7 @@ def test_every_case_is_recorded(golden):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_is_unchanged(case, golden, monkeypatch):
     monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
+    monkeypatch.setenv("COLUMNS", _COLUMNS)
     assert stdout_of(*CASES[case]) == golden[case]
 
 
@@ -98,6 +160,13 @@ def test_golden_covers_the_edge_cases(golden):
     assert json.loads(golden["file-analyze-too-short-json"])["results"]["info_block_k"] is None
     assert json.loads(golden["simulate-frozen-json"])["results"]["entropy_full_transfer"] is None
     assert golden["simulate-ensemble-csv"].startswith("seed,p_final,heat_to_cold,total_entropy_change\n")
+    assert "temperature = inf [K]" in golden["gas-temperature-half-filling-text"]
+    assert "warning: population inversion" in golden["gas-temperature-inverted-text"]
+    assert json.loads(golden["gas-entropy-endpoint-json"])["results"]["entropy_stirling"] is None
+    assert "distance" not in golden["broadcast-temperature-unused-geometry-text"]
+    assert "warning: antenna radius below the carrier wavelength" in golden["broadcast-capacity-subwavelength-text"]
+    assert golden["sweep-count"].startswith("L,entropy_exact,")
+    assert golden["help-infotherm"].startswith("usage: infotherm [-h]")
 
 
 @pytest.mark.parametrize(
@@ -124,6 +193,7 @@ def test_result_dataclasses_construct_positionally(cls, names):
 
 def record() -> None:
     os.environ.pop(cli.FORMAT_ENV_VAR, None)
+    os.environ["COLUMNS"] = _COLUMNS
     outputs = {case: stdout_of(*CASES[case]) for case in sorted(CASES)}
     GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
