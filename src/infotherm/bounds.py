@@ -53,6 +53,26 @@ def carnot_efficiency(t_hot: float, t_cold: float) -> float:
     return 1.0 - t_cold / t_hot
 
 
+def _finite(value, name: str):
+    """``value`` unchanged if it is a finite real number, else DomainError (a bool is no number)."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _finite_sum(values, name: str) -> float:
+    """``math.fsum(values)``, or DomainError when the sum is not finite in double precision."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # intermediate overflow, or inf + -inf
+        total = math.nan
+    return _finite(total, name)
+
+
 def clausius_check(
     delta_s: float,
     heat_terms: list[tuple[float, float]] | tuple[tuple[float, float], ...] = (),
@@ -62,27 +82,27 @@ def clausius_check(
     """Populate and judge an entropy ledger (see module docstring).
 
     ``tolerance`` defaults to 1e-12 times the largest of |delta_s|,
-    sum |dQ/T| and k_B * info_term.
+    sum |dQ/T| and k_B * info_term. ``delta_s``, ``info_term`` and the heat
+    terms are stored as floats. A ledger whose sums overflow double precision
+    has no verdict and raises DomainError.
     """
-    if not math.isfinite(delta_s):
-        raise DomainError(f"delta_s must be finite, got {delta_s}")
-    if info_term < 0 or not math.isfinite(info_term):
+    delta_s = float(_finite(delta_s, "delta_s"))
+    info_term = float(_finite(info_term, "info_term"))
+    if info_term < 0:
         raise InvalidQuantityError(f"info_term must be finite and >= 0, got {info_term}")
     terms = []
     for heat, temp in heat_terms:
-        if not (temp > 0 and math.isfinite(temp)):
+        if not _finite(temp, "every bath temperature") > 0:
             raise DomainError(f"every bath temperature must be finite and > 0, got {temp}")
-        if not math.isfinite(heat):
-            raise DomainError(f"every heat term must be finite, got {heat}")
-        terms.append((float(heat), float(temp)))
+        terms.append((float(_finite(heat, "every heat term")), float(temp)))
 
-    heat_over_t = math.fsum(heat / temp for heat, temp in terms)
+    heat_over_t = _finite_sum((heat / temp for heat, temp in terms), "the sum of the heat terms dQ/T")
     info_si = K_B * info_term
-    slack = delta_s - heat_over_t - info_si
+    slack = _finite(delta_s - heat_over_t - info_si, "the slack")
     if tolerance is None:
-        scale = max(abs(delta_s), math.fsum(abs(h) / t for h, t in terms), info_si)
+        scale = max(abs(delta_s), _finite_sum((abs(h) / t for h, t in terms), "the sum of |dQ/T|"), info_si)
         tolerance = _RELATIVE_TOLERANCE * scale
-    elif not (tolerance >= 0 and math.isfinite(tolerance)):
+    elif _finite(tolerance, "tolerance") < 0:
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
 
     if abs(slack) <= tolerance:

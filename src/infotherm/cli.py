@@ -11,10 +11,15 @@ with a unit), results (flat values), units (unit string per numeric result)
 and warnings. Non-finite numbers are serialized as the strings "inf",
 "-inf" and "nan". The schema ships in ``infotherm/data/output_schema.json``.
 
-A result dataclass declares the unit of each reported field on the field
-itself (``quantities.unit``). ``Envelope.add_results`` copies exactly the
-fields that declare a unit, in field order; a field without one (an echoed
-input) is not reported.
+Each leaf command is declared once, by ``@_command`` on its handler, with a
+table of ``_Flag`` rows (name, parser, unit, default, help) from which the
+parser, the help texts and the ``inputs`` block are built. A result
+dataclass declares the unit of each reported field on the field itself
+(``quantities.unit``); ``Envelope.add_results`` copies those fields.
+
+``sweep`` reads its target's table first: an unknown or non-numeric flag,
+or a grid the flag's own parser refuses (5.5 for a count), is a usage
+error, and a ``file analyze`` target without ``--path`` a domain error.
 
 All numeric flags accept scientific notation. Units are fixed SI; there is
 no unit-suffix parsing.
@@ -23,6 +28,7 @@ Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 """
 
 import argparse
+import collections
 import csv as csv_module
 import dataclasses
 import functools
@@ -36,21 +42,23 @@ from .errors import DomainError, require_within_budget
 from .quantities import K_B, LN2, convert_information
 
 FORMAT_ENV_VAR = "INFOTHERM_FORMAT"
-_FORMATS = ("text", "json", "csv")
 
 
 def _count(text: str) -> int:
     """Integer flag value; scientific notation like 1e6 is accepted.
 
-    Plain integer literals are parsed exactly, so 64-bit seeds survive.
+    Plain integer literals are parsed exactly, so 64-bit seeds survive. A
+    count beyond the float range is refused: every count meets float
+    arithmetic somewhere.
     """
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        pass
-    value = float(text)
-    if not math.isfinite(value):
+        value = float(text)
+    if not abs(value) <= sys.float_info.max:
         raise argparse.ArgumentTypeError(f"expected a finite integer, got {text!r}")
+    if isinstance(value, int):
+        return value
     rounded = round(value)
     if abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
@@ -147,226 +155,277 @@ def _render_json(env: Envelope, stream) -> None:
     stream.write("\n")
 
 
-def _csv_rows(env: Envelope) -> tuple[list[str], list[list[str]]]:
+def _render_csv(env: Envelope, stream) -> None:
     """Scalar results as one CSV row; ensemble runs expand to many rows."""
     if "runs" in env.results and isinstance(env.results["runs"], list):
         header = ["seed", "p_final", "heat_to_cold", "total_entropy_change"]
-        rows = [
-            [_format_scalar(run[key]) for key in header] for run in env.results["runs"]
-        ]
-        return header, rows
-    header = [k for k, v in env.results.items() if not isinstance(v, _COMPOUND)]
-    row = [_format_scalar(env.results[k]) for k in header]
-    return header, [row]
-
-
-def _render_csv(env: Envelope, stream) -> None:
-    header, rows = _csv_rows(env)
+        rows = [[run[key] for key in header] for run in env.results["runs"]]
+    else:
+        header = [k for k, v in env.results.items() if not isinstance(v, _COMPOUND)]
+        rows = [[env.results[k] for k in header]]
     writer = csv_module.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_format_scalar(v) for v in row] for row in rows)
 
 
-def _render(env: Envelope, fmt: str, stream) -> None:
-    if fmt == "json":
-        _render_json(env, stream)
-    elif fmt == "csv":
-        _render_csv(env, stream)
-    else:
-        _render_text(env, stream)
+_RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}
+
+
+#: Default of a flag that must be given; on the flags of a mutually exclusive
+#: group (a tuple of rows), it makes the group required.
+_REQUIRED = object()
+
+
+#: A command-table row for the flag ``--name`` (stored with "-" as "_").
+#: ``parse`` is ``_count``, ``float``, ``str``, ``bool`` (a switch) or a tuple
+#: of choices. The help shows ``[unit]`` ahead of any parenthesized note, and
+#: the value is echoed with its unit unless ``echo`` is False.
+_Flag = collections.namedtuple("_Flag", "name parse unit default help echo", defaults=(True,))
+
+
+#: Leaf command ("gas temperature", "simulate", ...) -> (help, handler, flag
+#: rows), in the order the help lists them.
+_COMMANDS: dict = {}
+
+#: The subcommands that group leaf commands, with their help lines.
+_GROUPS = {"gas": "two-level gas calculator", "file": "binary-file thermodynamics",
+           "broadcast": "broadcast thermodynamics"}
+
+
+def _command(name: str, help_line: str, *flags):
+    """Declare the decorated handler as leaf command ``name`` with these flag rows."""
+    def declare(run):
+        _COMMANDS[name] = (help_line, run, flags)
+        return run
+    return declare
+
+
+@functools.cache
+def _rows(name: str) -> dict:
+    """The flag rows of leaf command ``name`` by dest, group members included."""
+    flags = _COMMANDS[name][2]
+    return {f.name.replace("-", "_"): f for entry in flags for f in ((entry,) if isinstance(entry, _Flag) else entry)}
+
+
+def _echo(env: Envelope, args, *names: str) -> None:
+    """Echo flag values into ``env.inputs``, each with its row's unit.
+
+    With no names: every row with a unit and not marked ``echo=False``, in
+    table order; else the named rows in that order. None values and names
+    already echoed are skipped. ``_execute`` calls it after the handler, which
+    may first resolve a value in place (``simulate --steps`` defaults to
+    100 * L) or echo an input that is no flag (``file analyze`` source).
+    """
+    rows = _rows(args.leaf)
+    for dest in names or [dest for dest, flag in rows.items() if flag.unit and flag.echo]:
+        value = getattr(args, dest)
+        if value is not None and dest not in env.inputs:
+            env.add_input(dest, value, rows[dest].unit)
+
+
+_L = _Flag("L", _count, "count", _REQUIRED, "number of sites")
+_P = _Flag("p", _count, "count", _REQUIRED, "number of excited sites")
+_EPSILON = _Flag("epsilon", float, "J", _REQUIRED, "energy of an excited site")
+_POWER = _Flag("power", float, "W", _REQUIRED, "radiated power")
+_BIT_RATE = _Flag("bit-rate", float, "bit/s", _REQUIRED, "bit rate")
+_CARRIER = _Flag("carrier", float, "Hz", None, "carrier frequency (default: bit rate)")
+_AREA = _Flag("area", float, "m^2", None, "receiver area (overrides --area-mode)")
+
+#: ``--area-mode`` presets: the receiver area is the wavelength squared over this.
+_AREA_MODES = {"wavelength-squared": 1.0, "wavelength-squared-over-100": 100.0}
+_AREA_MODE = _Flag("area-mode", tuple(_AREA_MODES), "m^2", "wavelength-squared", "receiver area preset", echo=False)
+
+#: ``--json`` and ``--csv``: a mutually exclusive group on every leaf command.
+_FORMAT_FLAGS = (
+    _Flag("json", bool, None, False, "emit a JSON envelope (default: text)"),
+    _Flag("csv", bool, None, False, "emit CSV: header row then data rows (default: text)"),
+)
+
+_SWEEP_FLAGS = (
+    _Flag("param", str, None, _REQUIRED, "flag name to sweep, without dashes (e.g. epsilon)"),
+    _Flag("start", float, "unit of the swept flag", _REQUIRED, "first value"),
+    _Flag("stop", float, "unit of the swept flag", _REQUIRED, "last value"),
+    _Flag("count", _count, "count", _REQUIRED, "number of points"),
+    _Flag("log", bool, None, False, "space points geometrically instead of linearly"),
+)
 
 
 # --------------------------------------------------------------------------
-# handlers
+# handlers: each calls the library and adds results; rows are echoed after
 
 
-def _handle_gas(args) -> Envelope:
-    action = args.gas_action
-    env = Envelope(f"gas {action}")
-    if action == "temperature":
-        spec = twolevel.GasSpec(args.L, args.p, args.epsilon)
-        env.add_input("L", args.L, "count")
-        env.add_input("p", args.p, "count")
-        env.add_input("epsilon", args.epsilon, "J")
-        temp = twolevel.gas_temperature(spec)
-        env.add("temperature", temp.kelvin, "K")
-        env.add("inverted", temp.inverted)
-        if temp.infinite:
-            env.warn("infinite temperature: occupation is exactly half filling")
-        if temp.inverted:
-            env.warn("population inversion: more than half the sites are excited (negative temperature)")
-    elif action == "entropy":
-        env.add_input("L", args.L, "count")
-        env.add_input("p", args.p, "count")
-        exact = twolevel.multiplicity_ln(args.L, args.p)
-        env.add("entropy_exact", exact, "nats")
-        env.add("entropy_exact_bits", convert_information(exact, "bits"), "bits")
-        env.add("entropy_si", convert_information(exact, "J/K"), "J/K")
-        if 0 < args.p < args.L:
-            env.add("entropy_stirling", twolevel.entropy_stirling(args.L, args.p), "nats")
-        else:
-            env.add("entropy_stirling", None, "nats")
-            env.warn("Stirling form undefined at the occupation endpoints; exact value reported")
-    elif action == "occupation":
-        env.add_input("L", args.L, "count")
-        env.add_input("T", args.T, "K")
-        env.add_input("epsilon", args.epsilon, "J")
-        env.add("occupation", twolevel.occupation_at(args.L, args.T, args.epsilon), "count")
-    elif action == "transfer":
-        env.add_input("L", args.L, "count")
-        env.add_input("p_hot", args.p_hot, "count")
-        env.add_input("p_cold", args.p_cold, "count")
-        env.add_input("epsilon", args.epsilon, "J")
-        ledger = twolevel.transfer_entropy_delta(args.L, args.p_hot, args.p_cold, args.epsilon)
-        env.add_results(ledger)
-        if not ledger.canonical:
-            env.warn("non-canonical ordering: expected 0 < p_cold <= p_hot < L/2")
-    else:  # state
-        spec = twolevel.GasSpec(args.L, args.p, args.epsilon)
-        env.add_input("L", args.L, "count")
-        env.add_input("p", args.p, "count")
-        env.add_input("epsilon", args.epsilon, "J")
-        state = twolevel.gas_state(spec)
-        env.add("energy", spec.energy, "J")
-        env.add("entropy_exact", state.entropy_exact, "nats")
-        env.add("entropy_stirling", state.entropy_stirling, "nats")
-        if state.temperature is None:
-            env.add("temperature", None, "K")
-            env.warn("temperature undefined at the occupation endpoints (zero-temperature limit)")
-        else:
-            env.add("temperature", state.temperature.kelvin, "K")
-            env.add("inverted", state.temperature.inverted)
-            if state.temperature.infinite:
-                env.warn("infinite temperature: occupation is exactly half filling")
-    return env
+def _add_temperature(env: Envelope, temp: twolevel.GasTemperature) -> None:
+    env.add("temperature", temp.kelvin, "K")
+    env.add("inverted", temp.inverted)
+    if temp.infinite:
+        env.warn("infinite temperature: occupation is exactly half filling")
 
 
-def _handle_file(args) -> Envelope:
-    env = Envelope("file analyze")
+@_command("gas temperature", "equilibrium temperature from (L, p, epsilon)", _L, _P, _EPSILON)
+def _gas_temperature(args, env: Envelope) -> None:
+    temp = twolevel.gas_temperature(twolevel.GasSpec(args.L, args.p, args.epsilon))
+    _add_temperature(env, temp)
+    if temp.inverted:
+        env.warn("population inversion: more than half the sites are excited (negative temperature)")
+
+
+@_command("gas entropy", "exact and Stirling entropy of (L, p)", _L, _P)
+def _gas_entropy(args, env: Envelope) -> None:
+    exact = twolevel.multiplicity_ln(args.L, args.p)
+    env.add("entropy_exact", exact, "nats")
+    env.add("entropy_exact_bits", convert_information(exact, "bits"), "bits")
+    env.add("entropy_si", convert_information(exact, "J/K"), "J/K")
+    if 0 < args.p < args.L:
+        env.add("entropy_stirling", twolevel.entropy_stirling(args.L, args.p), "nats")
+    else:
+        env.add("entropy_stirling", None, "nats")
+        env.warn("Stirling form undefined at the occupation endpoints; exact value reported")
+
+
+@_command("gas occupation", "equilibrium mean ones count at temperature T",
+          _L, _Flag("T", float, "K", _REQUIRED, "temperature"), _EPSILON)
+def _gas_occupation(args, env: Envelope) -> None:
+    env.add("occupation", twolevel.occupation_at(args.L, args.T, args.epsilon), "count")
+
+
+@_command("gas transfer", "hot->cold transfer entropy ledger",
+          _L,
+          _Flag("p-hot", _count, "count", _REQUIRED, "hot-side excited count"),
+          _Flag("p-cold", _count, "count", _REQUIRED, "cold-side excited count"),
+          _EPSILON)
+def _gas_transfer(args, env: Envelope) -> None:
+    ledger = twolevel.transfer_entropy_delta(args.L, args.p_hot, args.p_cold, args.epsilon)
+    env.add_results(ledger)
+    if not ledger.canonical:
+        env.warn("non-canonical ordering: expected 0 < p_cold <= p_hot < L/2")
+
+
+@_command("gas state", "full derived state for (L, p, epsilon)", _L, _P, _EPSILON)
+def _gas_state(args, env: Envelope) -> None:
+    spec = twolevel.GasSpec(args.L, args.p, args.epsilon)
+    state = twolevel.gas_state(spec)
+    env.add("energy", spec.energy, "J")
+    env.add("entropy_exact", state.entropy_exact, "nats")
+    env.add("entropy_stirling", state.entropy_stirling, "nats")
+    if state.temperature is None:
+        env.add("temperature", None, "K")
+        env.warn("temperature undefined at the occupation endpoints (zero-temperature limit)")
+    else:
+        _add_temperature(env, state.temperature)
+
+
+@_command("file analyze", "full report for a file or stdin",
+          _Flag("epsilon", float, "J", _REQUIRED, "energy assigned to a one bit"),
+          _Flag("block-k", _count, "bit", fileinfo.DEFAULT_BLOCK_BITS, "block size for block entropy"),
+          _Flag("path", str, None, None, "input file (default: read stdin)"))
+def _file_analyze(args, env: Envelope) -> None:
     if args.path:
         with open(args.path, "rb") as handle:
             data = handle.read()
-        source = args.path
     else:
         data = sys.stdin.buffer.read()
-        source = "<stdin>"
-    env.add_input("source", source, "path")
-    env.add_input("epsilon", args.epsilon, "J")
-    env.add_input("block_k", args.block_k, "bit")
+    env.add_input("source", args.path or "<stdin>", "path")
     report = fileinfo.analyze(data, args.epsilon, args.block_k)
     env.add_results(report)
     if report.info_block_k is None:
         env.warn("input too short for block entropy even at k=1; info_block_k omitted")
     if report.is_equilibrium:
         env.warn("equilibrium (incompressible): score >= 0.95")
-    return env
 
 
 def _resolve_area(args) -> float:
-    carrier = args.carrier if args.carrier is not None else args.bit_rate
+    """``--area``, else the ``--area-mode`` preset; the link flags are checked either way."""
     wavelength = broadcast.LinkBudget(
-        power=args.power, bit_rate=args.bit_rate, receiver_area=1.0, carrier_frequency=carrier
+        power=args.power, bit_rate=args.bit_rate, receiver_area=1.0, carrier_frequency=args.carrier
     ).wavelength
-    if args.area is not None:
-        return args.area
-    if args.area_mode == "wavelength-squared":
-        return wavelength**2
-    if args.area_mode == "wavelength-squared-over-100":
-        return wavelength**2 / 100.0
-    raise DomainError("provide --area or --area-mode")
+    return args.area if args.area is not None else wavelength**2 / _AREA_MODES[args.area_mode]
 
 
-def _handle_broadcast(args) -> Envelope:
-    action = args.broadcast_action
-    env = Envelope(f"broadcast {action}")
-    if action == "range":
-        area = _resolve_area(args)
-        budget = broadcast.LinkBudget(
-            power=args.power,
-            bit_rate=args.bit_rate,
-            receiver_area=area,
-            carrier_frequency=args.carrier,
-            noise_temperature=args.noise_temp,
-            snr_margin=args.margin,
-        )
-        env.add_input("power", args.power, "W")
-        env.add_input("bit_rate", args.bit_rate, "bit/s")
-        env.add_input("carrier", budget.carrier_frequency, "Hz")
-        env.add_input("area", area, "m^2")
-        env.add_input("noise_temp", args.noise_temp, "K")
-        env.add_input("margin", args.margin, "dimensionless")
-        env.add_input("criterion", args.criterion, "mode")
-        env.add("max_range", broadcast.max_range(budget, args.criterion), "m")
-        env.add("wavelength", budget.wavelength, "m")
-        env.add("transmitter_temperature", broadcast.transmitter_temperature(args.power, args.bit_rate), "K")
-    elif action == "temperature":
-        env.add_input("power", args.power, "W")
-        env.add_input("bit_rate", args.bit_rate, "bit/s")
-        t_source = broadcast.transmitter_temperature(args.power, args.bit_rate)
-        env.add("transmitter_temperature", t_source, "K")
-        env.add("equivalent_bit_energy", broadcast.equivalent_bit_energy(args.power, args.bit_rate), "J")
-        if args.distance is not None:
-            area = _resolve_area(args)
-            env.add_input("area", area, "m^2")
-            env.add_input("distance", args.distance, "m")
-            received = broadcast.receiver_temperature(t_source, area, args.distance)
-            env.add("receiver_temperature", received.kelvin, "K")
-            env.add("geometric_factor", received.geometric_factor, "dimensionless")
-            if received.oversized_aperture:
-                env.warn("geometric factor >= 1: receiver area covers the full sphere")
-    elif action == "balance":
-        if args.info_nats is not None:
-            info = args.info_nats
-        elif args.info_bits is not None:
-            info = args.info_bits * LN2
-        else:
-            raise DomainError("provide --info-nats or --info-bits")
-        env.add_input("info", info, "nats")
-        env.add_input("receivers", args.receivers, "count")
-        balance = broadcast.broadcast_entropy_balance(info, args.receivers)
-        env.add_results(balance)
-        env.add("information_increase", balance.entropy_increase / K_B, "nats")
-    else:  # capacity
-        env.add_input("bit_rate", args.bit_rate, "bit/s")
-        env.add_input("carrier", args.carrier, "Hz")
-        env.add_input("radius", args.radius, "m")
-        env.add_input("duration", args.duration, "s")
-        bound = broadcast.max_broadcast_information(args.bit_rate, args.carrier, args.radius, args.duration)
-        env.add("max_information", bound.nats, "nats")
-        env.add("max_information_bits", bound.bits, "bits")
-        env.add("wavelength", bound.wavelength, "m")
-        if bound.subwavelength:
-            env.warn("antenna radius below the carrier wavelength; the area law assumes radius >> wavelength")
-    return env
+@_command("broadcast range", "maximum broadcast range",
+          _POWER, _BIT_RATE, _CARRIER, _AREA, _AREA_MODE,
+          _Flag("noise-temp", float, "K", 300.0, "noise temperature"),
+          _Flag("margin", float, "dimensionless", 10.0, "SNR safety factor"),
+          _Flag("criterion", broadcast.RANGE_CRITERIA, "mode", "bit-energy", "detection criterion"))
+def _broadcast_range(args, env: Envelope) -> None:
+    args.area = _resolve_area(args)
+    budget = broadcast.LinkBudget(
+        power=args.power,
+        bit_rate=args.bit_rate,
+        receiver_area=args.area,
+        carrier_frequency=args.carrier,
+        noise_temperature=args.noise_temp,
+        snr_margin=args.margin,
+    )
+    args.carrier = budget.carrier_frequency
+    env.add("max_range", broadcast.max_range(budget, args.criterion), "m")
+    env.add("wavelength", budget.wavelength, "m")
+    env.add("transmitter_temperature", broadcast.transmitter_temperature(args.power, args.bit_rate), "K")
 
 
-def _handle_compute_bound(args) -> Envelope:
-    env = Envelope("compute-bound")
-    env.add_input("power", args.power, "W")
-    env.add_input("noise_temp", args.noise_temp, "K")
-    env.add_input("margin", args.margin, "dimensionless")
+@_command("broadcast temperature", "transmitter/receiver temperatures",
+          _POWER, _BIT_RATE,
+          _CARRIER._replace(echo=False),
+          _Flag("distance", float, "m", None, "receiver distance (optional)", echo=False),
+          _AREA._replace(echo=False),
+          _AREA_MODE)
+def _broadcast_temperature(args, env: Envelope) -> None:
+    t_source = broadcast.transmitter_temperature(args.power, args.bit_rate)
+    env.add("transmitter_temperature", t_source, "K")
+    env.add("equivalent_bit_energy", broadcast.equivalent_bit_energy(args.power, args.bit_rate), "J")
+    if args.distance is None:
+        return
+    args.area = _resolve_area(args)
+    _echo(env, args)
+    _echo(env, args, "area", "distance")  # after power and bit rate, and area first, unlike the help
+    received = broadcast.receiver_temperature(t_source, args.area, args.distance)
+    env.add("receiver_temperature", received.kelvin, "K")
+    env.add("geometric_factor", received.geometric_factor, "dimensionless")
+    if received.oversized_aperture:
+        env.warn("geometric factor >= 1: receiver area covers the full sphere")
+
+
+@_command("broadcast balance", "N-receiver entropy balance",
+          (_Flag("info-nats", float, "nats", _REQUIRED, "file information", echo=False),
+           _Flag("info-bits", float, "bits", _REQUIRED, "file information", echo=False)),
+          _Flag("receivers", _count, "count", _REQUIRED, "number of receivers"))
+def _broadcast_balance(args, env: Envelope) -> None:
+    info = args.info_nats if args.info_nats is not None else args.info_bits * LN2
+    env.add_input("info", info, "nats")
+    balance = broadcast.broadcast_entropy_balance(info, args.receivers)
+    env.add_results(balance)
+    env.add("information_increase", balance.entropy_increase / K_B, "nats")
+
+
+@_command("broadcast capacity", "area-law maximum broadcast information",
+          _BIT_RATE,
+          _Flag("carrier", float, "Hz", _REQUIRED, "carrier frequency"),
+          _Flag("radius", float, "m", _REQUIRED, "antenna radius"),
+          _Flag("duration", float, "s", 1.0, "broadcast duration"))
+def _broadcast_capacity(args, env: Envelope) -> None:
+    bound = broadcast.max_broadcast_information(args.bit_rate, args.carrier, args.radius, args.duration)
+    env.add("max_information", bound.nats, "nats")
+    env.add("max_information_bits", bound.bits, "bits")
+    env.add("wavelength", bound.wavelength, "m")
+    if bound.subwavelength:
+        env.warn("antenna radius below the carrier wavelength; the area law assumes radius >> wavelength")
+
+
+@_command("compute-bound", "computing-rate bound",
+          _Flag("power", float, "W", _REQUIRED, "dissipated power"),
+          _Flag("noise-temp", float, "K", 300.0, "ambient noise temperature"),
+          _Flag("margin", float, "dimensionless", 10.0, "operating margin over noise"))
+def _compute_bound(args, env: Envelope) -> None:
     env.add("max_rate", bounds.max_computing_rate(args.power, args.noise_temp, args.margin), "bit/s")
-    return env
 
 
 #: The keys a clausius ledger may have; a misspelt key is an error, never ignored.
 _LEDGER_KEYS = ("delta_S", "heat_terms", "info_term", "tolerance")
 
 
-def _ledger_number(value, field: str):
-    """A ledger field that must be a finite JSON number; returned unchanged."""
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise DomainError(f"ledger {field} must be a finite number, got {value!r}")
-    return value
-
-
-def _handle_clausius(args) -> Envelope:
-    env = Envelope("clausius")
-    source = "<stdin>" if args.ledger == "-" else args.ledger
+@_command("clausius", "check an entropy ledger",
+          _Flag("ledger", str, None, "-", 'JSON ledger path, or "-" for stdin; keys: delta_S [J/K], '
+                                          "heat_terms [[J, K]...], info_term [nats], tolerance [J/K]"))
+def _clausius(args, env: Envelope) -> None:
     try:
         if args.ledger == "-":
             text = sys.stdin.read()
@@ -384,54 +443,71 @@ def _handle_clausius(args) -> Envelope:
     heat_terms = payload.get("heat_terms", [])
     if not isinstance(heat_terms, list) or not all(isinstance(t, list) and len(t) == 2 for t in heat_terms):
         raise DomainError(f"ledger heat_terms must be a list of [heat, temperature] pairs, got {heat_terms!r}")
-    tolerance = payload.get("tolerance")
-    ledger = bounds.clausius_check(
-        delta_s=float(_ledger_number(payload["delta_S"], "delta_S")),
-        heat_terms=[(_ledger_number(q, "heat term"), _ledger_number(t, "heat-term temperature"))
-                    for q, t in heat_terms],
-        info_term=float(_ledger_number(payload.get("info_term", 0.0), "info_term")),
-        tolerance=None if tolerance is None else _ledger_number(tolerance, "tolerance"),
-    )
-    env.add_input("ledger", source, "path")
+    ledger = bounds.clausius_check(payload["delta_S"], heat_terms, payload.get("info_term", 0.0),
+                                   payload.get("tolerance"))
+    env.add_input("ledger", "<stdin>" if args.ledger == "-" else args.ledger, "path")
     env.add_results(ledger)
-    return env
 
 
-def _handle_simulate(args) -> Envelope:
+#: Units of ``mcsim.ensemble_summary``'s values, in report order; its
+#: ``runs`` is reported last, as ``run_count``.
+_SUMMARY_UNITS = {
+    "mean_total_entropy_change": "J/K",
+    "se_total_entropy_change": "J/K",
+    "mean_p_final": "count",
+    "se_p_final": "count",
+    "mean_heat_to_cold": "J",
+    "se_heat_to_cold": "J",
+    "run_count": "count",
+}
+
+
+@_command("simulate", "hot->cold transfer simulation",
+          _L,
+          _Flag("t-hot", float, "K", _REQUIRED, "hot bath temperature"),
+          _Flag("t-cold", float, "K", _REQUIRED, "cold bath temperature"),
+          _EPSILON,
+          _Flag("steps", _count, "count", None, "Metropolis steps (default: 100 * L)"),
+          _Flag("seed", _count, "count", 0, "RNG seed"),
+          _Flag("ensemble", _count, "count", None, "run this many seeds starting at --seed and summarize"))
+def _simulate(args, env: Envelope) -> None:
     from . import mcsim  # here, so that the calculator commands never import numpy
 
-    env = Envelope("simulate")
-    env.add_input("L", args.L, "count")
-    env.add_input("t_hot", args.t_hot, "K")
-    env.add_input("t_cold", args.t_cold, "K")
-    env.add_input("epsilon", args.epsilon, "J")
-    env.add_input("steps", args.steps, "count")
-    env.add_input("seed", args.seed, "count")
+    if args.steps is None:
+        args.steps = 100 * args.L
     if args.ensemble is None:
-        led = mcsim.simulate_transfer(args.L, args.t_hot, args.t_cold, args.epsilon, args.steps, args.seed)
-        env.add_results(led)
-    else:
-        env.add_input("ensemble", args.ensemble, "count")
-        seeds = range(args.seed, args.seed + args.ensemble)
-        ledgers = mcsim.run_ensemble(args.L, args.t_hot, args.t_cold, args.epsilon, args.steps, seeds)
-        fields = _reported_fields(mcsim.SimLedger)
-        env.add("runs", [{name: getattr(led, name) for name, _ in fields} for led in ledgers])
-        summary = mcsim.ensemble_summary(ledgers)
-        summary["run_count"] = summary.pop("runs")
-        for name, value in summary.items():
-            unit = "J/K" if "entropy" in name else ("J" if "heat" in name else "count")
-            env.add(name, value, unit)
-    return env
+        env.add_results(mcsim.simulate_transfer(args.L, args.t_hot, args.t_cold, args.epsilon, args.steps, args.seed))
+        return
+    seeds = range(args.seed, args.seed + args.ensemble)
+    ledgers = mcsim.run_ensemble(args.L, args.t_hot, args.t_cold, args.epsilon, args.steps, seeds)
+    fields = _reported_fields(mcsim.SimLedger)
+    env.add("runs", [{name: getattr(led, name) for name, _ in fields} for led in ledgers])
+    summary = mcsim.ensemble_summary(ledgers)
+    summary["run_count"] = summary.pop("runs")
+    for name, unit in _SUMMARY_UNITS.items():
+        env.add(name, summary[name], unit)
 
 
 # --------------------------------------------------------------------------
 # parser
 
 
-def _add_format_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="emit a JSON envelope (default: text)")
-    group.add_argument("--csv", action="store_true", help="emit CSV: header row then data rows (default: text)")
+def _add_flags(parser, flags: tuple) -> None:
+    """Add each row as a flag; a tuple of rows becomes a mutually exclusive group."""
+    for entry in flags:
+        group = not isinstance(entry, _Flag)
+        target = parser.add_mutually_exclusive_group(required=entry[0].default is _REQUIRED) if group else parser
+        for flag in entry if group else (entry,):
+            text, paren, note = flag.help.partition(" (")
+            kind = ({"action": "store_true"} if flag.parse is bool
+                    else {"choices": flag.parse} if isinstance(flag.parse, tuple) else {"type": flag.parse})
+            target.add_argument(
+                "--" + flag.name,
+                **kind,
+                required=flag.default is _REQUIRED and not group,
+                default=None if flag.default is _REQUIRED else flag.default,
+                help=f"{text} [{flag.unit}]{paren}{note}" if flag.unit else flag.help,
+            )
 
 
 @functools.cache
@@ -446,131 +522,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
-
-    gas = sub.add_parser("gas", help="two-level gas calculator", formatter_class=fmt)
-    gas_sub = gas.add_subparsers(dest="gas_action", required=True)
-    for name, desc in (
-        ("temperature", "equilibrium temperature from (L, p, epsilon)"),
-        ("entropy", "exact and Stirling entropy of (L, p)"),
-        ("occupation", "equilibrium mean ones count at temperature T"),
-        ("transfer", "hot->cold transfer entropy ledger"),
-        ("state", "full derived state for (L, p, epsilon)"),
-    ):
-        p = gas_sub.add_parser(name, help=desc, formatter_class=fmt)
-        _add_format_flags(p)
-        p.add_argument("--L", type=_count, required=True, help="number of sites [count]")
-        if name in ("temperature", "entropy", "state"):
-            p.add_argument("--p", type=_count, required=True, help="number of excited sites [count]")
-        if name == "occupation":
-            p.add_argument("--T", type=float, required=True, help="temperature [K]")
-        if name == "transfer":
-            p.add_argument("--p-hot", dest="p_hot", type=_count, required=True, help="hot-side excited count [count]")
-            p.add_argument("--p-cold", dest="p_cold", type=_count, required=True, help="cold-side excited count [count]")
-        if name != "entropy":
-            p.add_argument("--epsilon", type=float, required=True, help="energy of an excited site [J]")
-
-    file_p = sub.add_parser("file", help="binary-file thermodynamics", formatter_class=fmt)
-    file_sub = file_p.add_subparsers(dest="file_action", required=True)
-    analyze = file_sub.add_parser("analyze", help="full report for a file or stdin", formatter_class=fmt)
-    _add_format_flags(analyze)
-    analyze.add_argument("--epsilon", type=float, required=True, help="energy assigned to a one bit [J]")
-    analyze.add_argument("--block-k", dest="block_k", type=_count, default=fileinfo.DEFAULT_BLOCK_BITS,
-                         help="block size for block entropy [bit]")
-    analyze.add_argument("--path", default=None, help="input file (default: read stdin)")
-
-    bc = sub.add_parser("broadcast", help="broadcast thermodynamics", formatter_class=fmt)
-    bc_sub = bc.add_subparsers(dest="broadcast_action", required=True)
-
-    rng_p = bc_sub.add_parser("range", help="maximum broadcast range", formatter_class=fmt)
-    _add_format_flags(rng_p)
-    rng_p.add_argument("--power", type=float, required=True, help="radiated power [W]")
-    rng_p.add_argument("--bit-rate", dest="bit_rate", type=float, required=True, help="bit rate [bit/s]")
-    rng_p.add_argument("--carrier", type=float, default=None, help="carrier frequency [Hz] (default: bit rate)")
-    rng_p.add_argument("--area", type=float, default=None, help="receiver area [m^2] (overrides --area-mode)")
-    rng_p.add_argument("--area-mode", dest="area_mode", choices=["wavelength-squared", "wavelength-squared-over-100"],
-                       default="wavelength-squared", help="receiver area preset [m^2]")
-    rng_p.add_argument("--noise-temp", dest="noise_temp", type=float, default=300.0, help="noise temperature [K]")
-    rng_p.add_argument("--margin", type=float, default=10.0, help="SNR safety factor [dimensionless]")
-    rng_p.add_argument("--criterion", choices=list(broadcast.RANGE_CRITERIA), default="bit-energy",
-                       help="detection criterion [mode]")
-
-    temp_p = bc_sub.add_parser("temperature", help="transmitter/receiver temperatures", formatter_class=fmt)
-    _add_format_flags(temp_p)
-    temp_p.add_argument("--power", type=float, required=True, help="radiated power [W]")
-    temp_p.add_argument("--bit-rate", dest="bit_rate", type=float, required=True, help="bit rate [bit/s]")
-    temp_p.add_argument("--carrier", type=float, default=None, help="carrier frequency [Hz] (default: bit rate)")
-    temp_p.add_argument("--distance", type=float, default=None, help="receiver distance [m] (optional)")
-    temp_p.add_argument("--area", type=float, default=None, help="receiver area [m^2] (overrides --area-mode)")
-    temp_p.add_argument("--area-mode", dest="area_mode", choices=["wavelength-squared", "wavelength-squared-over-100"],
-                        default="wavelength-squared", help="receiver area preset [m^2]")
-
-    bal_p = bc_sub.add_parser("balance", help="N-receiver entropy balance", formatter_class=fmt)
-    _add_format_flags(bal_p)
-    info_group = bal_p.add_mutually_exclusive_group(required=True)
-    info_group.add_argument("--info-nats", dest="info_nats", type=float, default=None, help="file information [nats]")
-    info_group.add_argument("--info-bits", dest="info_bits", type=float, default=None, help="file information [bits]")
-    bal_p.add_argument("--receivers", type=_count, required=True, help="number of receivers [count]")
-
-    cap_p = bc_sub.add_parser("capacity", help="area-law maximum broadcast information", formatter_class=fmt)
-    _add_format_flags(cap_p)
-    cap_p.add_argument("--bit-rate", dest="bit_rate", type=float, required=True, help="bit rate [bit/s]")
-    cap_p.add_argument("--carrier", type=float, required=True, help="carrier frequency [Hz]")
-    cap_p.add_argument("--radius", type=float, required=True, help="antenna radius [m]")
-    cap_p.add_argument("--duration", type=float, default=1.0, help="broadcast duration [s]")
-
-    cb = sub.add_parser("compute-bound", help="computing-rate bound", formatter_class=fmt)
-    _add_format_flags(cb)
-    cb.add_argument("--power", type=float, required=True, help="dissipated power [W]")
-    cb.add_argument("--noise-temp", dest="noise_temp", type=float, default=300.0, help="ambient noise temperature [K]")
-    cb.add_argument("--margin", type=float, default=10.0, help="operating margin over noise [dimensionless]")
-
-    cl = sub.add_parser("clausius", help="check an entropy ledger", formatter_class=fmt)
-    _add_format_flags(cl)
-    cl.add_argument("--ledger", default="-",
-                    help='JSON ledger path, or "-" for stdin; keys: delta_S [J/K], heat_terms [[J, K]...], '
-                         "info_term [nats], tolerance [J/K]")
-
-    sim = sub.add_parser("simulate", help="hot->cold transfer simulation", formatter_class=fmt)
-    _add_format_flags(sim)
-    sim.add_argument("--L", type=_count, required=True, help="number of sites [count]")
-    sim.add_argument("--t-hot", dest="t_hot", type=float, required=True, help="hot bath temperature [K]")
-    sim.add_argument("--t-cold", dest="t_cold", type=float, required=True, help="cold bath temperature [K]")
-    sim.add_argument("--epsilon", type=float, required=True, help="energy of an excited site [J]")
-    sim.add_argument("--steps", type=_count, default=None,
-                     help="Metropolis steps [count] (default: 100 * L)")
-    sim.add_argument("--seed", type=_count, default=0, help="RNG seed [count]")
-    sim.add_argument("--ensemble", type=_count, default=None,
-                     help="run this many seeds starting at --seed and summarize [count]")
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="iterate one numeric flag of another subcommand over a range; emits CSV",
-        formatter_class=fmt,
-    )
-    sweep.add_argument("--param", required=True, help="flag name to sweep, without dashes (e.g. epsilon)")
-    sweep.add_argument("--start", type=float, required=True, help="first value [unit of the swept flag]")
-    sweep.add_argument("--stop", type=float, required=True, help="last value [unit of the swept flag]")
-    sweep.add_argument("--count", type=_count, required=True, help="number of points [count]")
-    sweep.add_argument("--log", action="store_true", help="space points geometrically instead of linearly")
+    groups = {}
+    for name, (help_line, _, flags) in _COMMANDS.items():
+        group, _, action = name.rpartition(" ")
+        if group and group not in groups:
+            group_parser = sub.add_parser(group, help=_GROUPS[group], formatter_class=fmt)
+            groups[group] = group_parser.add_subparsers(dest=f"{group}_action", required=True)
+        leaf = groups.get(group, sub).add_parser(action, help=help_line, formatter_class=fmt)
+        leaf.set_defaults(leaf=name)
+        _add_flags(leaf, (_FORMAT_FLAGS,) + flags)
+    sweep = sub.add_parser("sweep", help="iterate one numeric flag of another subcommand over a range; emits CSV",
+                           formatter_class=fmt)
+    _add_flags(sweep, _SWEEP_FLAGS)
     sweep.add_argument("target", nargs=argparse.REMAINDER,
                        help="target subcommand and its fixed flags (prefix with --)")
     return parser
 
 
-_HANDLERS = {
-    "gas": _handle_gas,
-    "file": _handle_file,
-    "broadcast": _handle_broadcast,
-    "compute-bound": _handle_compute_bound,
-    "clausius": _handle_clausius,
-    "simulate": _handle_simulate,
-}
-
-
 def _execute(args) -> Envelope:
-    if args.command == "simulate" and args.steps is None:
-        args.steps = 100 * args.L
-    return _HANDLERS[args.command](args)
+    env = Envelope(args.leaf)
+    _COMMANDS[args.leaf][1](args, env)
+    _echo(env, args)
+    return env
 
 
 #: Bytes a sweep keeps per point, rounded up: its value and its CSV row
@@ -595,19 +568,27 @@ def _sweep_values(args) -> list[float]:
     return sorted(values)
 
 
-def _handle_sweep(args, parser: argparse.ArgumentParser, stream) -> None:
-    target = list(args.target)
-    if target and target[0] == "--":
-        target = target[1:]
-    if not target:
-        parser.error("sweep needs a target subcommand after the sweep flags")
-    if target[0] == "sweep":
-        parser.error("sweep cannot target itself")
-    flag = "--" + args.param.lstrip("-").replace("_", "-")
+def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
+    target = args.target[1:] if args.target[:1] == ["--"] else args.target
+    leaf = " ".join(target[:2] if target and target[0] in _GROUPS else target[:1])
+    if leaf not in _COMMANDS:
+        parser.error(f"sweep needs a result command after the sweep flags, got {leaf!r}")
+    swept = _rows(leaf).get(args.param.lstrip("-").replace("-", "_"))
+    if swept is None or swept.parse not in (float, _count):
+        parser.error(f"--param {args.param!r} is not a numeric flag of {leaf}")
+    flag = "--" + swept.name
+    values = _sweep_values(args)
+    for value in values:
+        try:
+            swept.parse(repr(value))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"argument {flag}: {exc}")
     rows = []
     header: list[str] | None = None
-    for value in _sweep_values(args):
+    for value in values:
         sub_args = parser.parse_args(target + [flag, repr(value)])
+        if leaf == "file analyze" and not sub_args.path:
+            raise DomainError("a sweep cannot re-read stdin at every point; give file analyze a --path")
         env = _execute(sub_args)
         scalars = {k: v for k, v in env.results.items() if not isinstance(v, _COMPOUND)}
         if header is None:
@@ -622,24 +603,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     fmt = os.environ.get(FORMAT_ENV_VAR, "text")
-    if fmt not in _FORMATS:
-        fmt = "text"
     if getattr(args, "json", False):
         fmt = "json"
     elif getattr(args, "csv", False):
         fmt = "csv"
     try:
         if args.command == "sweep":
-            _handle_sweep(args, parser, sys.stdout)
+            _sweep(args, parser, sys.stdout)
             return 0
         env = _execute(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _render(env, fmt, sys.stdout)
+    _RENDERERS.get(fmt, _render_text)(env, sys.stdout)
     return 0
 
 

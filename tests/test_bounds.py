@@ -132,6 +132,45 @@ class TestClausiusCheck:
         with pytest.raises((DomainError, InvalidQuantityError)):
             clausius_check(**kwargs)
 
+    @pytest.mark.parametrize(
+        "delta_s,heat_terms",
+        [
+            (1.0, [(1e308, 1e-10)]),
+            (1.0, [(1e308, 1.0), (1e308, 1.0)]),
+            (1.0, [(1e308, 1e-10), (-1e308, 1e-10)]),
+            (1e308, [(-1e308, 1.0)]),
+            (0.0, [(1e308, 1.0), (-1e308, 1.0)]),
+        ],
+        ids=["inf-term", "sum-overflow", "inf-minus-inf", "slack-overflow", "scale-overflow"],
+    )
+    def test_an_overflowing_ledger_has_no_verdict(self, delta_s, heat_terms):
+        with pytest.raises(DomainError):
+            clausius_check(delta_s, heat_terms)
+
+    def test_an_explicit_tolerance_needs_no_scale(self):
+        ledger = clausius_check(0.0, [(1e308, 1.0), (-1e308, 1.0)], tolerance=0.0)
+        assert (ledger.slack, ledger.verdict) == (0.0, VERDICT_EQUALITY)
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [pytest.param(field, bad, id=f"{field}-{name}")
+         for field in ("delta_s", "info_term", "tolerance", "heat", "temperature")
+         for name, bad in (("str", "1e-22"), ("none", None), ("bool", True), ("list", [1.0]), ("int-10e400", 10**400))
+         if (field, bad) != ("tolerance", None)],
+    )
+    def test_a_non_number_is_a_domain_error(self, field, bad):
+        kwargs = {"delta_s": 1e-22, "heat_terms": [(3e-20, 300.0)], "info_term": 0.0, "tolerance": None}
+        if field in ("heat", "temperature"):
+            kwargs["heat_terms"] = [(bad, 300.0) if field == "heat" else (3e-20, bad)]
+        else:
+            kwargs[field] = bad
+        with pytest.raises(DomainError):
+            clausius_check(**kwargs)
+
+    def test_integers_are_stored_as_floats(self):
+        ledger = clausius_check(1, [(3, 2)], info_term=0)
+        assert [type(v) for v in (ledger.delta_s, ledger.info_term, *ledger.heat_terms[0])] == [float] * 4
+
     def test_nan_tolerance_rejected(self):
         # NaN compares false both ways, which once read as "satisfied" for a
         # slack of -1 J/K.

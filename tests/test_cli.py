@@ -234,6 +234,71 @@ class TestSweep:
             cli.main(["sweep", "--param", "x", "--start", "0", "--stop", "1", "--count", "2", "--", "sweep"])
         assert exc.value.code == 2
 
+    @pytest.fixture()
+    def executed(self, monkeypatch):
+        """The target argv of every sweep point that runs."""
+        calls = []
+        run = cli._execute
+        monkeypatch.setattr(cli, "_execute", lambda args: calls.append(args) or run(args))
+        return calls
+
+    def test_a_grid_the_count_parser_refuses_is_a_usage_error_before_any_point(self, capsys, executed):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--param", "L", "--start", "1", "--stop", "10", "--count", "3", "--",
+                      "gas", "entropy", "--p", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--L" in captured.err.splitlines()[-1]
+        assert "5.5" in captured.err.splitlines()[-1]
+        assert executed == []
+
+    @pytest.mark.parametrize(
+        "param,target",
+        [
+            ("bogus", ["gas", "entropy", "--p", "0"]),
+            ("help", ["gas", "entropy", "--p", "0"]),
+            ("json", ["gas", "entropy", "--L", "10", "--p", "0"]),
+            ("criterion", ["broadcast", "range", "--power", "50", "--bit-rate", "9e8"]),
+            ("area-mode", ["broadcast", "range", "--power", "50", "--bit-rate", "9e8"]),
+            ("path", ["file", "analyze", "--epsilon", "1e-21"]),
+        ],
+    )
+    def test_unknown_or_non_numeric_param_is_a_usage_error(self, capsys, executed, param, target):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--param", param, "--start", "1", "--stop", "2", "--count", "2", "--"] + target)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert executed == []
+
+    def test_an_integer_grid_of_a_count_flag_runs(self, capsys):
+        code, out, _ = run_cli(capsys, ["sweep", "--param", "p-hot", "--start", "3", "--stop", "1e1",
+                                        "--count", "8", "--", "gas", "transfer", "--L", "100", "--p-cold", "2",
+                                        "--epsilon", "1e-21"])
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == ["p-hot"] + [f"{v}.0" for v in range(3, 11)]
+
+    def test_file_analyze_from_stdin_is_refused_before_any_point(self, capsys, executed, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\x5a" * 64)))
+        code, out, err = run_cli(capsys, ["sweep", "--param", "epsilon", "--start", "1e-21", "--stop", "2e-21",
+                                          "--count", "3", "--", "file", "analyze"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "--path" in err
+        assert executed == []
+
+    def test_file_analyze_with_a_path_sweeps(self, capsys, tmp_path):
+        path = tmp_path / "data.bin"
+        path.write_bytes(bytes(range(256)) * 4)
+        code, out, _ = run_cli(capsys, ["sweep", "--param", "epsilon", "--start", "1e-21", "--stop", "2e-21",
+                                        "--count", "3", "--", "file", "analyze", "--path", str(path)])
+        assert code == 0
+        assert len(out.splitlines()) == 4
+
 
 class TestExitCodes:
     def test_domain_error_exits_one_with_stderr_message(self, capsys):
@@ -277,6 +342,48 @@ class TestExitCodes:
                                     "--epsilon", "1e-20", "--steps", "10", "--seed", "18446744073709551615"])
         assert payload["inputs"]["seed"]["value"] == 2**64 - 1
         assert payload["results"]["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gas", "entropy", "--L", "1" + "0" * 400, "--p", "5"],
+            ["gas", "temperature", "--L", "1" + "0" * 400, "--p", "5", "--epsilon", "1e-21"],
+            ["broadcast", "balance", "--info-bits", "1", "--receivers", "1" + "0" * 400],
+            ["simulate", "--L", "10", "--t-hot", "600", "--t-cold", "300", "--epsilon", "1e-21",
+             "--steps", "-" + "9" * 400],
+        ],
+        ids=["gas-entropy", "gas-temperature", "broadcast-balance", "simulate-negative-steps"],
+    )
+    def test_count_beyond_the_float_range_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected a finite integer" in err
+        assert "Traceback" not in err
+
+    def test_count_inside_the_float_range_stays_exact(self, capsys):
+        payload = run_json(capsys, ["gas", "entropy", "--L", "1" + "0" * 300, "--p", "5"])
+        assert payload["inputs"]["L"]["value"] == 10**300
+
+    @pytest.mark.parametrize(
+        "ledger",
+        [
+            '{"delta_S": 1.0, "heat_terms": [[1e308, 1e-10]]}',
+            '{"delta_S": 1.0, "heat_terms": [[1e308, 1.0], [1e308, 1.0]]}',
+            '{"delta_S": 1.0, "heat_terms": [[1e308, 1e-10], [-1e308, 1e-10]]}',
+            '{"delta_S": 1e308, "heat_terms": [[-1e308, 1.0]]}',
+            '{"delta_S": 0.0, "heat_terms": [[1e308, 1.0], [-1e308, 1.0]]}',
+        ],
+        ids=["inf-term", "sum-overflow", "inf-minus-inf", "slack-overflow", "scale-overflow"],
+    )
+    def test_overflowing_clausius_ledger_exits_one(self, capsys, monkeypatch, ledger):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(ledger))
+        code, out, err = run_cli(capsys, ["clausius"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("flag,value", [("--L", "1e400"), ("--steps", "inf"), ("--steps", "nan")])
     def test_nonfinite_count_is_a_usage_error(self, capsys, flag, value):
