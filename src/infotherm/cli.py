@@ -19,7 +19,8 @@ dataclass declares the unit of each reported field on the field itself
 
 ``sweep`` reads its target's table first: an unknown or non-numeric flag,
 or a grid the flag's own parser refuses (5.5 for a count), is a usage
-error, and a ``file analyze`` target without ``--path`` a domain error.
+error, and more than one point of ``file analyze`` without ``--path`` a
+domain error, since stdin can be read only once.
 
 All numeric flags accept scientific notation. Units are fixed SI; there is
 no unit-suffix parsing.
@@ -208,13 +209,11 @@ def _rows(name: str) -> dict:
 
 
 def _echo(env: Envelope, args, *names: str) -> None:
-    """Echo flag values into ``env.inputs``, each with its row's unit.
+    """Echo flag values into ``env.inputs``, with their rows' units.
 
-    With no names: every row with a unit and not marked ``echo=False``, in
-    table order; else the named rows in that order. None values and names
-    already echoed are skipped. ``_execute`` calls it after the handler, which
-    may first resolve a value in place (``simulate --steps`` defaults to
-    100 * L) or echo an input that is no flag (``file analyze`` source).
+    The named rows in that order, else each row with a unit and not marked
+    ``echo=False``; None values and names already echoed are skipped.
+    ``_execute`` calls it after the handler, which may resolve values first.
     """
     rows = _rows(args.leaf)
     for dest in names or [dest for dest, flag in rows.items() if flag.unit and flag.echo]:
@@ -573,9 +572,13 @@ def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
     leaf = " ".join(target[:2] if target and target[0] in _GROUPS else target[:1])
     if leaf not in _COMMANDS:
         parser.error(f"sweep needs a result command after the sweep flags, got {leaf!r}")
-    swept = _rows(leaf).get(args.param.lstrip("-").replace("-", "_"))
-    if swept is None or swept.parse not in (float, _count):
+    name = args.param.lstrip("-").replace("_", "-")
+    flags = {flag.name: flag for flag in _rows(leaf).values()}
+    # The exact name, else a unique prefix, as argparse itself accepts.
+    matches = [flags[name]] if name in flags else [f for n, f in flags.items() if n.startswith(name)]
+    if len(matches) != 1 or matches[0].parse not in (float, _count):
         parser.error(f"--param {args.param!r} is not a numeric flag of {leaf}")
+    swept = matches[0]
     flag = "--" + swept.name
     values = _sweep_values(args)
     for value in values:
@@ -587,7 +590,7 @@ def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
     header: list[str] | None = None
     for value in values:
         sub_args = parser.parse_args(target + [flag, repr(value)])
-        if leaf == "file analyze" and not sub_args.path:
+        if leaf == "file analyze" and not sub_args.path and len(values) > 1:
             raise DomainError("a sweep cannot re-read stdin at every point; give file analyze a --path")
         env = _execute(sub_args)
         scalars = {k: v for k, v in env.results.items() if not isinstance(v, _COMPOUND)}

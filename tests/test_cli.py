@@ -258,6 +258,7 @@ class TestSweep:
         [
             ("bogus", ["gas", "entropy", "--p", "0"]),
             ("help", ["gas", "entropy", "--p", "0"]),
+            ("p", ["gas", "transfer", "--L", "100", "--epsilon", "1e-21"]),
             ("json", ["gas", "entropy", "--L", "10", "--p", "0"]),
             ("criterion", ["broadcast", "range", "--power", "50", "--bit-rate", "9e8"]),
             ("area-mode", ["broadcast", "range", "--power", "50", "--bit-rate", "9e8"]),
@@ -290,6 +291,21 @@ class TestSweep:
         assert len(err.splitlines()) == 1
         assert "--path" in err
         assert executed == []
+
+    def test_a_one_point_sweep_may_read_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\x5a" * 64)))
+        code, out, _ = run_cli(capsys, ["sweep", "--param", "epsilon", "--start", "1e-21", "--stop", "2e-21",
+                                        "--count", "1", "--", "file", "analyze"])
+        assert code == 0
+        assert out.startswith("epsilon,bit_length,")
+
+    def test_a_unique_prefix_names_the_flag_as_argparse_allows(self, capsys):
+        target = ["--start", "1e-21", "--stop", "1e-19", "--count", "3", "--", "gas", "temperature",
+                  "--L", "10", "--p", "2"]
+        _, full, _ = run_cli(capsys, ["sweep", "--param", "epsilon"] + target)
+        code, short, _ = run_cli(capsys, ["sweep", "--param", "eps"] + target)
+        assert code == 0
+        assert short.replace("eps,", "epsilon,", 1) == full
 
     def test_file_analyze_with_a_path_sweeps(self, capsys, tmp_path):
         path = tmp_path / "data.bin"
