@@ -573,9 +573,9 @@ def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
     if leaf not in _COMMANDS:
         parser.error(f"sweep needs a result command after the sweep flags, got {leaf!r}")
     name = args.param.lstrip("-").replace("_", "-")
-    flags = {flag.name: flag for flag in _rows(leaf).values()}
+    by_name = {row.name: row for row in _rows(leaf).values()}
     # The exact name, else a unique prefix, as argparse itself accepts.
-    matches = [flags[name]] if name in flags else [f for n, f in flags.items() if n.startswith(name)]
+    matches = [by_name[name]] if name in by_name else [row for n, row in by_name.items() if n.startswith(name)]
     if len(matches) != 1 or matches[0].parse not in (float, _count):
         parser.error(f"--param {args.param!r} is not a numeric flag of {leaf}")
     swept = matches[0]
