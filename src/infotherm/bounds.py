@@ -126,9 +126,15 @@ def max_computing_rate(power: float, noise_temperature: float, margin: float = 1
 
     Each elementary act must dissipate at least k_B ln 2 times the operating
     temperature, and the operating temperature must clear the ambient noise
-    temperature by ``margin``, so f <= P / (margin k_B ln 2 T_n).
+    temperature by ``margin``, so f <= P / (margin k_B ln 2 T_n). A bound
+    that overflows double precision raises DomainError.
     """
     require_positive(power=power, noise_temperature=noise_temperature)
     if not margin >= 1:
         raise DomainError(f"margin must be >= 1, got {margin}")
-    return power / (margin * K_B * LN2 * noise_temperature)
+    rate = power / (margin * K_B * LN2 * noise_temperature)
+    if not math.isfinite(rate):
+        raise DomainError(
+            f"the computing rate of {power} W at a noise temperature of {noise_temperature} K overflows"
+        )
+    return rate

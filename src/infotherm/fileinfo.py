@@ -98,14 +98,18 @@ def file_temperature(bit_energy: float) -> float:
     return bit_energy / (2.0 * K_B * LN2)
 
 
-def shannon_entropy_order0(data: bytes) -> float:
-    """Binary entropy of the empirical ones fraction, nats per bit."""
-    _require_data(data)
-    bit_length = 8 * len(data)
-    q = int.from_bytes(data, "big").bit_count() / bit_length
+def _binary_entropy(ones: int, bit_length: int) -> float:
+    """Binary entropy of a ones fraction ones / bit_length, nats per bit."""
+    q = ones / bit_length
     if q == 0.0 or q == 1.0:
         return 0.0
     return -q * math.log(q) - (1.0 - q) * math.log(1.0 - q)
+
+
+def shannon_entropy_order0(data: bytes) -> float:
+    """Binary entropy of the empirical ones fraction, nats per bit."""
+    _require_data(data)
+    return _binary_entropy(int.from_bytes(data, "big").bit_count(), 8 * len(data))
 
 
 def block_entropy(data: bytes, block_bits: int) -> float:
@@ -192,7 +196,7 @@ def analyze(data: bytes, bit_energy: float, block_bits: int = DEFAULT_BLOCK_BITS
     _check_block_bits(block_bits)
     bit_length, ones, energy = analyze_counts(data, bit_energy)
     info_max = max_information(bit_length)
-    info_order0 = shannon_entropy_order0(data) * bit_length
+    info_order0 = _binary_entropy(ones, bit_length) * bit_length
 
     k = block_bits
     while k >= 1 and bit_length < _MIN_SAMPLES_PER_STATE * (1 << k):

@@ -12,12 +12,22 @@ Frozen parameters
 - parsing: greedy, with step acceleration through long literal runs
   (after every 64 consecutive match misses the scan step grows by one byte)
 - match search: exact 3-byte key table, at most 16 remembered positions per
-  key, most recent first; only scanned positions are inserted. Once a match
-  of length best_len is found, a candidate whose byte at offset best_len
-  differs from the current position's is skipped, and the search stops when
-  best_len reaches the end of the input. Only a strictly longer match
-  replaces the best, and neither kind of candidate can be longer, so the
-  output is the same as measuring every candidate.
+  key, most recent first; only scanned positions are inserted. The first
+  candidate in the window is measured from its third byte on, since the key
+  already matched. Once a match of length best_len is found, a later
+  candidate is measured only if it is sure to win: its byte at offset
+  best_len and its first best_len bytes must equal the current position's,
+  so it is at least best_len + 1 long and extension starts there. The search
+  stops when best_len reaches the end of the input. Only a strictly longer
+  match replaces the best, and no skipped candidate can be longer, so the
+  output is the same as measuring every candidate. Extension (``_extend``)
+  compares byte by byte up to 16 bytes, then in doubling chunks of up to
+  4 KiB, and finds the first difference in a chunk from the highest set bit
+  of the XOR of the two chunks read as integers.
+
+One parse, ``_blocks``, serves both consumers: ``compress`` emits each
+block's bytes, and ``compressed_size_bits`` adds up their sizes without
+building them.
 
 Container format (little-endian)
 --------------------------------
@@ -45,25 +55,32 @@ WINDOW_SIZE = 65536
 MIN_MATCH = 3
 MAX_CANDIDATES = 16
 SKIP_SHIFT = 6  # scan step = 1 + (consecutive misses >> SKIP_SHIFT)
-_EXTEND_CHUNK = 512
+_SHORT_RUN = 16  # _extend compares byte by byte up to this length, then in chunks
+_MAX_CHUNK = 4096
 
 
-def _match_length(data: bytes, src: int, cur: int, limit: int) -> int:
-    """Length of the common run of data[src:] and data[cur:], up to limit - cur.
+def _extend(data: bytes, src: int, cur: int, length: int, maxlen: int) -> int:
+    """Length of the common run of data[src:] and data[cur:], capped at maxlen.
 
-    src < cur; the regions may overlap, which simply means the match
-    replicates recent bytes (the decoder copies byte-serially).
+    The caller guarantees that the first ``length`` bytes are equal. src < cur;
+    the regions may overlap, which simply means the match replicates recent
+    bytes (the decoder copies byte-serially).
     """
-    length = 0
-    maxlen = limit - cur
+    while length < _SHORT_RUN:
+        if length >= maxlen or data[src + length] != data[cur + length]:
+            return length
+        length += 1
+    chunk = _SHORT_RUN
     while length < maxlen:
-        chunk = min(_EXTEND_CHUNK, maxlen - length)
-        if data[src + length : src + length + chunk] == data[cur + length : cur + length + chunk]:
-            length += chunk
-        else:
-            while length < maxlen and data[src + length] == data[cur + length]:
-                length += 1
-            break
+        step = min(chunk, maxlen - length)
+        a = data[src + length : src + length + step]
+        b = data[cur + length : cur + length + step]
+        if a != b:
+            # The first differing byte holds the highest set bit of a ^ b.
+            diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+            return length + step - (diff.bit_length() + 7) // 8
+        length += step
+        chunk = min(2 * chunk, _MAX_CHUNK)
     return length
 
 
@@ -95,10 +112,14 @@ def _emit(out: bytearray, data: bytes, anchor: int, literal_end: int, match_len:
         _emit_length(out, token_pos, False, match_len - MIN_MATCH)
 
 
-def compress(data: bytes) -> bytes:
-    """Compress ``data``; identical input always yields identical output."""
+def _blocks(data: bytes):
+    """Greedy parse of ``data``: yields (anchor, literal_end, match_len, offset) per block.
+
+    The block holds the literals data[anchor:literal_end], then a match of
+    match_len bytes at distance offset, or no match when match_len is 0 (only
+    in a final literals-only block).
+    """
     n = len(data)
-    out = bytearray()
     table: dict[bytes, list[int]] = {}
     i = 0
     anchor = 0
@@ -110,15 +131,20 @@ def compress(data: bytes) -> bytes:
         best_len = 0
         best_off = 0
         if candidates:
+            maxlen = n - i
             for cand in reversed(candidates):
-                if i - cand > WINDOW_SIZE or i + best_len >= n:
-                    break  # positions are stored in increasing order; no longer match fits
-                if best_len and data[cand + best_len] != data[i + best_len]:
-                    continue  # cannot exceed best_len
-                length = _match_length(data, cand, i, n)
-                if length > best_len:
-                    best_len = length
-                    best_off = i - cand
+                if i - cand > WINDOW_SIZE:
+                    break  # positions are stored in increasing order
+                if not best_len:
+                    best_len = _extend(data, cand, i, MIN_MATCH, maxlen)  # the key holds 3 equal bytes
+                elif data[cand + best_len] == next_byte and data[cand : cand + best_len] == data[i : i + best_len]:
+                    best_len = _extend(data, cand, i, best_len + 1, maxlen)  # strictly longer, so it wins
+                else:
+                    continue
+                best_off = i - cand
+                if best_len == maxlen:
+                    break  # no longer match fits
+                next_byte = data[i + best_len]
         if candidates is None:
             table[key] = [i]
         else:
@@ -127,7 +153,7 @@ def compress(data: bytes) -> bytes:
                 del candidates[0]
 
         if best_len >= MIN_MATCH:
-            _emit(out, data, anchor, i, best_len, best_off)
+            yield anchor, i, best_len, best_off
             i += best_len
             anchor = i
             misses = 0
@@ -136,13 +162,29 @@ def compress(data: bytes) -> bytes:
             misses += 1
 
     if anchor < n:
-        _emit(out, data, anchor, n, 0, 0)
+        yield anchor, n, 0, 0
+
+
+def compress(data: bytes) -> bytes:
+    """Compress ``data``; identical input always yields identical output."""
+    out = bytearray()
+    for anchor, literal_end, match_len, offset in _blocks(data):
+        _emit(out, data, anchor, literal_end, match_len, offset)
     return bytes(out)
 
 
 def compressed_size_bits(data: bytes) -> int:
-    """Compressed size of ``data`` in bits."""
-    return 8 * len(compress(data))
+    """Compressed size of ``data`` in bits, added up from the blocks without building them."""
+    # Per block, as _emit writes it: a token, the literals, and for a match two
+    # offset bytes; a length code value v >= 15 adds (v - 15) // 255 + 1 bytes.
+    size = 0
+    for anchor, literal_end, match_len, _ in _blocks(data):
+        lit = literal_end - anchor
+        size += 1 + lit + (0 if lit < 15 else (lit - 15) // 255 + 1)
+        if match_len:
+            code = match_len - MIN_MATCH
+            size += 2 + (0 if code < 15 else (code - 15) // 255 + 1)
+    return 8 * size
 
 
 def _read_length(blob: bytes, pos: int, code: int) -> tuple[int, int]:

@@ -209,3 +209,10 @@ class TestComputingBound:
     def test_domain_errors(self, kwargs):
         with pytest.raises(DomainError):
             max_computing_rate(**kwargs)
+
+    def test_overflowing_rate_raises(self):
+        # 1e308 W at 1e-300 K is about 1e630 operations per second; at 1e23 K
+        # the same power stays just inside double precision.
+        with pytest.raises(DomainError, match="overflows"):
+            max_computing_rate(1e308, 1e-300)
+        assert max_computing_rate(1e308, 1e23) == pytest.approx(1e308 / (10 * BOLTZMANN * math.log(2) * 1e23))

@@ -401,6 +401,13 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
 
+    def test_overflowing_computing_rate_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, ["compute-bound", "--power", "1e308", "--noise-temp", "1e-300"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("flag,value", [("--L", "1e400"), ("--steps", "inf"), ("--steps", "nan")])
     def test_nonfinite_count_is_a_usage_error(self, capsys, flag, value):
         argv = {"--L": "10", "--t-hot": "2089.88", "--t-cold": "1044.94", "--epsilon": "1e-20", "--steps": "10"}

@@ -327,6 +327,13 @@ class TestReport:
             assert len(calls) == 1
             assert report.equilibrium_score == fileinfo.equilibrium_score(data)
 
+    @given(st.binary(min_size=1, max_size=512))
+    @settings(max_examples=100)
+    def test_order0_total_matches_the_standalone_entropy(self, data):
+        # analyze reuses its ones count; the float arithmetic must not change.
+        report = fileinfo.analyze(data, 1e-20)
+        assert report.info_order0 == fileinfo.shannon_entropy_order0(data) * report.bit_length
+
     def test_block_entropy_falls_back_for_short_input(self):
         report = fileinfo.analyze(b"\xa7\x00\xff", 1e-20)  # 24 bits: only k=1 feasible
         assert report.info_block_k is not None

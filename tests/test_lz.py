@@ -211,6 +211,141 @@ class TestByteIdentity:
         assert hashlib.sha256(lz.compress(low_entropy_corpus(kind))).hexdigest() == digest
 
 
+class TestSizeOnlyConsumer:
+    """compressed_size_bits adds up block sizes; it must equal the reference coder's output size."""
+
+    @given(
+        st.sampled_from([1, 2, 4, 16, 256]),
+        st.integers(min_value=0, max_value=8192),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_over_alphabets(self, alphabet, size, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, alphabet, size=size, dtype=np.uint8).tobytes()
+        assert lz.compressed_size_bits(data) == 8 * len(reference_compress(data))
+
+    @given(
+        st.binary(min_size=1, max_size=300),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=299),
+        st.binary(max_size=200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_running_to_the_end(self, unit, repeats, cut, head):
+        data = head + unit * repeats + unit[: cut % len(unit)]
+        assert lz.compressed_size_bits(data) == 8 * len(reference_compress(data))
+
+    def test_megabyte_corpora(
+        self, zeros_megabyte, sorted_megabyte, periodic_megabyte, random_megabyte, balanced_random_megabyte
+    ):
+        for data in (zeros_megabyte, sorted_megabyte, periodic_megabyte, random_megabyte, balanced_random_megabyte):
+            assert lz.compressed_size_bits(data) == 8 * len(reference_compress(data))
+
+    def test_never_calls_compress(self, monkeypatch):
+        def refuse(data):
+            raise AssertionError("compressed_size_bits must not build the stream")
+
+        monkeypatch.setattr(lz, "compress", refuse)
+        assert lz.compressed_size_bits(b"abcabcabc" * 20) == 8 * len(reference_compress(b"abcabcabc" * 20))
+
+
+#: Equal runs at the edges of _extend: the byte loop ends at 16 bytes, and
+#: chunks of 16, 32, ... 4096 bytes then cover [16, 32), [32, 64), ...,
+#: [4096, 8192), [8192, 12288).
+_RUN_LENGTHS = (3, 4, 15, 16, 17, 31, 32, 33, 63, 64, 65, 4095, 4096, 4097, 8192, 8193, 12289)
+
+
+def _three_copies(older: bytes, newer: bytes, current: bytes) -> bytes:
+    """older, newer and current, split by runs of zeros and of ones.
+
+    Each run ends in a match that stops at the next copy, so the scan lands on
+    every copy's first byte with step 1. With copies of one random string r
+    (bytes 3..255), the search at ``current`` tries ``newer`` first, then
+    ``older``.
+    """
+    return older + b"\x00" * 64 + newer + b"\x01" * 64 + current
+
+
+def _random_string(size: int, seed: int = 77) -> bytes:
+    return bytes(np.random.default_rng(seed).integers(3, 256, size=size, dtype=np.uint8))
+
+
+def _assert_matches_reference(data: bytes) -> None:
+    expected = reference_compress(data)
+    assert lz.compress(data) == expected
+    assert lz.compressed_size_bits(data) == 8 * len(expected)
+
+
+class TestExtendEdges:
+    """Byte identity with the reference coder where _extend changes how it compares."""
+
+    @pytest.mark.parametrize("run", _RUN_LENGTHS)
+    def test_overlapping_run(self, run):
+        # At position 1 the candidate at offset 1 matches exactly `run` bytes.
+        data = b"\x00" * (run + 1) + b"\x01" + b"\x00" * 5
+        _assert_matches_reference(data)
+
+    @pytest.mark.parametrize("run", _RUN_LENGTHS)
+    def test_overlapping_run_to_the_end(self, run):
+        data = b"\x01" + b"\x00" * (run + 1)
+        _assert_matches_reference(data)
+
+    @pytest.mark.parametrize("short,long", [(3, 15), (14, 16), (15, 17), (16, 31), (17, 32), (31, 33),
+                                            (3, 4097), (4096, 4097), (15, 12289)])
+    def test_later_candidate_wins(self, short, long):
+        # The newer copy matches `short` bytes, the older one `long` bytes.
+        r = _random_string(long)
+        data = _three_copies(r, r[:short], r + b"\x02")
+        _assert_matches_reference(data)
+
+    @pytest.mark.parametrize("short,long", [(3, 17), (16, 33), (40, 4097)])
+    def test_later_candidate_runs_to_the_end(self, short, long):
+        r = _random_string(long + 1)
+        data = _three_copies(r, r[:short], r[:long])
+        _assert_matches_reference(data)
+
+    @pytest.mark.parametrize("short,long", [(5, 17), (20, 40)])
+    def test_prefix_mismatch_is_skipped(self, short, long):
+        # The older copy agrees with the current one at byte `short` but not at
+        # byte 3, so it passes the byte test and must still not be measured.
+        r = _random_string(long)
+        decoy = r[:3] + bytes([r[3] ^ 1]) + r[4:]
+        data = _three_copies(decoy, r[:short], r + b"\x02")
+        _assert_matches_reference(data)
+
+    @pytest.mark.parametrize("offset", [65536, 65537])
+    def test_window_edge(self, offset):
+        head = _random_string(40, seed=9)
+        data = head + b"\x00" * (offset - len(head)) + head
+        _assert_matches_reference(data)
+        # Inside the window the repeated head is one 4-byte match block; outside it
+        # is 40 literals after a token and one length extension byte.
+        added = len(lz.compress(data)) - len(lz.compress(data[: -len(head)]))
+        assert added == (4 if offset == 65536 else 42)
+
+    def test_extension_starts_past_the_known_prefix(self, monkeypatch):
+        # The first candidate is measured from MIN_MATCH (the key matched);
+        # a later one only when it wins, from the previous best + 1.
+        calls = []
+        extend = lz._extend
+
+        def spy(data, src, cur, length, maxlen):
+            assert data[src : src + length] == data[cur : cur + length]
+            result = extend(data, src, cur, length, maxlen)
+            calls.append((cur, length, result))
+            return result
+
+        monkeypatch.setattr(lz, "_extend", spy)
+        data = low_entropy_corpus("text")[:16384]
+        assert lz.compress(data) == reference_compress(data)
+        best = {}
+        for cur, length, result in calls:
+            assert length == (best[cur] + 1 if cur in best else lz.MIN_MATCH)
+            best[cur] = result
+        assert len(calls) > len(best)  # some later candidates won
+
+
 class TestRatios:
     def test_constant_input_collapses(self, zeros_megabyte):
         assert len(lz.compress(zeros_megabyte)) < 0.01 * MEGABYTE
