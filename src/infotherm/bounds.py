@@ -127,14 +127,15 @@ def max_computing_rate(power: float, noise_temperature: float, margin: float = 1
     Each elementary act must dissipate at least k_B ln 2 times the operating
     temperature, and the operating temperature must clear the ambient noise
     temperature by ``margin``, so f <= P / (margin k_B ln 2 T_n). A bound
-    that overflows double precision raises DomainError.
+    that overflows double precision, or underflows to 0, raises DomainError.
     """
     require_positive(power=power, noise_temperature=noise_temperature)
-    if not margin >= 1:
-        raise DomainError(f"margin must be >= 1, got {margin}")
+    if not (margin >= 1 and math.isfinite(margin)):
+        raise DomainError(f"margin must be finite and >= 1, got {margin}")
     rate = power / (margin * K_B * LN2 * noise_temperature)
-    if not math.isfinite(rate):
+    if not (rate > 0 and math.isfinite(rate)):
         raise DomainError(
-            f"the computing rate of {power} W at a noise temperature of {noise_temperature} K overflows"
+            f"the computing rate of {power} W at a noise temperature of {noise_temperature} K "
+            f"and a margin of {margin} {'overflows' if rate else 'underflows to 0'}"
         )
     return rate

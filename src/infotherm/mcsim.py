@@ -34,12 +34,24 @@ Identical seeds give bit-identical ledgers.
 Memory: a run keeps one compact buffer of site indices, of dtype
 ``np.min_scalar_type(L - 1)``: 1 byte per step for L <= 256, 2 for
 L <= 65536 and 4 below 2**32. Everything else is drawn and relaxed in
-chunks of max(2**18, L) steps, so the rest of the working set is O(L + chunk).
-One L=15000 run of 1.5e6 steps peaks at about 8.5 MiB traced, and L=1e6
-with 1e8 steps at about 413 MiB. Before allocating anything,
-``simulate_transfer`` and ``run_ensemble`` check an upper bound on the
-memory they need against ``errors.MEMORY_BUDGET`` (2 GiB) and raise
-DomainError if it is exceeded.
+chunks of max(2**17, L) steps. At most two chunks are relaxed at once and
+the acceptance draws of a third are made meanwhile, so the rest of the
+working set is O(L + chunk). One L=15000 run of 1.5e6 steps peaks at about
+6.8 MiB traced, and L=1e6 with 1e8 steps at about 448 MiB. An ensemble
+keeps two runs in flight. Before allocating anything, ``simulate_transfer``
+and ``run_ensemble`` check an upper bound on the memory they need against
+``errors.MEMORY_BUDGET`` (2 GiB) and raise DomainError if it is exceeded.
+
+Threads: the relaxation runs on a pool of two worker threads, created on
+first use; numpy releases the GIL in the draws and in most of the kernel.
+A single run draws every number on the calling thread, in the protocol's
+order, and hands each chunk's sites and acceptances to a worker, which
+computes that chunk's map (``_chunk_map``). The maps come back in chunk
+order and are folded on the calling thread. An ensemble instead runs two
+whole runs at a time, each with its own generator, and returns the ledgers
+in seed order. A worker's result depends only on its arguments and every
+fold is in a fixed order, so the ledgers are bit-identical whatever the
+scheduling, and equal to those of a run without threads.
 
 Bookkeeping (see ``SimLedger``): the run's ``total_entropy_change`` is the
 entropy production of the simulated relaxation leg - gas entropy change plus
@@ -52,8 +64,12 @@ second-law balance. A full-transfer ledger in the convention of
 occupations, is also reported for comparison.
 """
 
+import collections
+import functools
 import math
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +82,18 @@ _PROB_SUM_TOLERANCE = 1e-12
 
 #: Steps drawn and relaxed per chunk, or L if that is larger, so that the
 #: kernel's O(L) work per chunk is spread over at least L steps.
-_CHUNK_STEPS = 2**18
+_CHUNK_STEPS = 2**17
+
+#: Threads that relax chunks of one run, or whole runs of an ensemble, and
+#: the most calls that ``_pipelined`` keeps in flight.
+_WORKERS = 2
 
 #: Bytes per site and per chunk step that bound a run's working memory apart
-#: from its site buffer: the initial draw, one chunk's int64 site and float64
-#: acceptance draws, and the kernel's index and count temporaries.
-_WORK_BYTES = 64
+#: from its site buffer. Per step: the float64 acceptance draw and three bool
+#: acceptance chunks (two in flight, one drawn next), 12 B, plus 34 B in each
+#: of two kernels in flight (their index, gather and count temporaries).
+#: Per site: the initial draw and state, 12 B, and 26 B in each kernel.
+_WORK_BYTES = 80
 
 #: Bytes an ensemble keeps per finished run, rounded up: its ledger, its
 #: entry in the sorted seed list and the row a caller builds from the ledger.
@@ -202,24 +224,62 @@ def h_function(dist: ConfigDistribution) -> float:
     return -math.fsum(p * math.log(p) for _, p in dist.support if p > 0.0)
 
 
-def _relax_final_state(
-    initial: np.ndarray, sites: np.ndarray, accepts: np.ndarray, length: int
-) -> np.ndarray:
-    """Final state of sequential single-site Metropolis, computed per site.
+def _chunk_map(sites: np.ndarray, accepts: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map ``s -> (s & kept) ^ flips`` by which one chunk of steps changes the state.
 
     A hit maps a site's state s to ``accept AND NOT s``, so a site is empty
-    after its last rejected hit and toggles on every later hit. Each site
-    ends as the parity of its hits after its last rejection, XOR its initial
-    state if it was never rejected. ``np.maximum.at`` finds the last
-    rejection whatever the order of repeated indices. The result is
-    bit-identical to the naive sequential loop.
+    after its last rejected hit and toggles on every later hit. ``kept`` marks
+    the sites that the chunk never rejected, and ``flips`` is the parity of
+    each site's hits after its last rejection (of all its hits if it has
+    none). Every such hit is accepted, so only the accepted steps are
+    gathered and counted. ``np.maximum.at`` finds the last rejection whatever
+    the order of repeated indices. The maps of consecutive chunks compose
+    exactly, and applying them is bit-identical to the naive sequential loop.
     """
     last_reject = np.full(length, -1, dtype=np.int64)
     rejected = np.flatnonzero(~accepts)
     np.maximum.at(last_reject, sites[rejected], rejected)
-    after = np.arange(len(sites)) > last_reject[sites]
-    parity = np.bincount(sites[after], minlength=length) & 1
-    return parity.astype(bool) ^ (initial.astype(bool) & (last_reject < 0))
+    accepted = np.flatnonzero(accepts)
+    hit = sites[accepted]
+    flips = np.bincount(hit[accepted > last_reject[hit]], minlength=length) & 1
+    return last_reject < 0, flips.astype(bool)
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The worker pool. Its threads start with its first call, so importing this module starts none.
+
+    Two threads that ask for it at once for the first time may each get a
+    pool of their own; both work, and the spare's idle threads end with the
+    interpreter.
+    """
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="infotherm-relax")
+
+
+# A forked child inherits the pool object but none of its threads.
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _pipelined(fn, *iterables):
+    """``map(fn, *iterables)`` on the worker pool: results in order, at most two calls in flight.
+
+    The arguments of each call are taken from the iterables on the calling
+    thread while the two calls before it run. A call must not wait on another
+    pool task, or the two workers could deadlock. If a call raises, or the
+    caller stops early, no further call starts and the calls in flight end
+    before this generator does.
+    """
+    pool = _pool()
+    pending = collections.deque()
+    try:
+        for args in zip(*iterables):
+            if len(pending) == _WORKERS:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, *args))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        wait(pending)
 
 
 def _chunk_steps(length: int) -> int:
@@ -227,13 +287,13 @@ def _chunk_steps(length: int) -> int:
 
 
 def _relax_bytes(length: int, steps: int) -> int:
-    """Upper bound, in bytes, on the memory of one run: the site buffer plus one chunk's work."""
+    """Upper bound, in bytes, on the memory of one run: the site buffer plus the work in flight."""
     site_bytes = np.min_scalar_type(max(length - 1, 0)).itemsize
     return steps * site_bytes + _WORK_BYTES * (length + _chunk_steps(length))
 
 
 def _relax(
-    length: int, prob_hot: float, accept_probability: float, steps: int, seed: int
+    length: int, prob_hot: float, accept_probability: float, steps: int, seed: int, fold_map
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial and final state of one run, drawn in the protocol's order.
 
@@ -241,22 +301,24 @@ def _relax(
     rejection-samples, so its raw-draw count depends on the data and the
     acceptance stream's start is known only once every site is drawn. The
     sites therefore go into one compact buffer, then the acceptance floats
-    are drawn and folded into the state one chunk at a time. Drawing in
+    are drawn one chunk at a time and each chunk's map is folded into the
+    state in chunk order. ``fold_map`` is ``_pipelined`` or the builtin
+    ``map``; every draw happens on the calling thread either way. Drawing in
     chunks yields the same numbers as one call, because the bit generator
-    holds the half-word buffer of numpy's bounded 32-bit path, and
-    ``_relax_final_state`` composes exactly across chunks.
+    holds the half-word buffer of numpy's bounded 32-bit path, and a uint32
+    draw is that same path.
     """
     rng = np.random.default_rng(seed)
     initial = rng.random(length) < prob_hot
     chunk = _chunk_steps(length)
     sites = np.empty(steps, dtype=np.min_scalar_type(length - 1))
-    for start in range(0, steps, chunk):
-        part = sites[start:start + chunk]
-        part[:] = rng.integers(0, length, size=part.size)
+    parts = [sites[start:start + chunk] for start in range(0, steps, chunk)]
+    for part in parts:
+        part[:] = rng.integers(0, length, size=part.size, dtype=np.uint32)
+    accepts = (rng.random(part.size) < accept_probability for part in parts)
     final = initial
-    for start in range(0, steps, chunk):
-        part = sites[start:start + chunk]
-        final = _relax_final_state(final, part, rng.random(part.size) < accept_probability, length)
+    for kept, flips in fold_map(functools.partial(_chunk_map, length=length), parts, accepts):
+        final = (final & kept) ^ flips
     return initial, final
 
 
@@ -275,6 +337,13 @@ def simulate_transfer(
     exceeds ``errors.MEMORY_BUDGET`` raises DomainError before anything is
     allocated.
     """
+    return _transfer(length, t_hot, t_cold, bit_energy, steps, seed, _pipelined)
+
+
+def _transfer(
+    length: int, t_hot: float, t_cold: float, bit_energy: float, steps: int, seed: int, fold_map
+) -> SimLedger:
+    """``simulate_transfer``, folding the chunk maps through ``fold_map`` (see ``_relax``)."""
     if not (t_cold > 0 and t_hot > t_cold):
         raise DomainError(
             f"need t_hot > t_cold > 0, got t_hot={t_hot}, t_cold={t_cold}"
@@ -287,7 +356,7 @@ def simulate_transfer(
 
     prob_hot = _site_probability(t_hot, bit_energy)
     require_within_budget(_relax_bytes(length, steps), f"a run of L={length} with {steps} steps")
-    initial, final = _relax(length, prob_hot, math.exp(-bit_energy / (K_B * t_cold)), steps, seed)
+    initial, final = _relax(length, prob_hot, math.exp(-bit_energy / (K_B * t_cold)), steps, seed, fold_map)
 
     p_initial = int(initial.sum())
     p_final = int(final.sum())
@@ -337,21 +406,22 @@ def run_ensemble(
     """Independent runs over the given seeds, in seed order.
 
     Every seed, and the memory of the whole ensemble, is checked before the
-    first run starts.
+    first run starts. Two runs are in flight at a time, each on its own
+    worker thread with its own generator, so the ledgers are those of
+    ``simulate_transfer`` run seed by seed.
     """
     try:
         runs = len(seeds)
     except OverflowError:  # a range longer than sys.maxsize
         raise DomainError(f"an ensemble of more than {sys.maxsize} runs is over the memory budget") from None
-    require_within_budget(runs * _RUN_BYTES + _relax_bytes(length, steps), f"an ensemble of {runs} runs")
+    require_within_budget(runs * _RUN_BYTES + _WORKERS * _relax_bytes(length, steps), f"an ensemble of {runs} runs")
     ordered = sorted(seeds)
     if ordered:
         _check_seed(ordered[0])
         _check_seed(ordered[-1])
-    return [
-        simulate_transfer(length, t_hot, t_cold, bit_energy, steps, seed)
-        for seed in ordered
-    ]
+    # A run folds its chunks through the builtin map: a pool task that waited
+    # on other pool tasks could deadlock the two workers.
+    return list(_pipelined(lambda seed: _transfer(length, t_hot, t_cold, bit_energy, steps, seed, map), ordered))
 
 
 def ensemble_summary(ledgers: list[SimLedger]) -> dict:

@@ -216,3 +216,17 @@ class TestComputingBound:
         with pytest.raises(DomainError, match="overflows"):
             max_computing_rate(1e308, 1e-300)
         assert max_computing_rate(1e308, 1e23) == pytest.approx(1e308 / (10 * BOLTZMANN * math.log(2) * 1e23))
+
+    @pytest.mark.parametrize("margin", [math.inf, math.nan, -math.inf, 0.999])
+    def test_margin_must_be_finite_and_at_least_one(self, margin):
+        with pytest.raises(DomainError, match="margin"):
+            max_computing_rate(1.0, 300.0, margin)
+
+    def test_underflowing_rate_raises(self):
+        # 5e-324 W at 1e300 K is about 5e-603 operations per second, far
+        # below the smallest double; 1e-300 W at 1 K stays representable.
+        with pytest.raises(DomainError, match="underflows"):
+            max_computing_rate(5e-324, 1e300)
+        with pytest.raises(DomainError, match="underflows"):
+            max_computing_rate(1e-300, 1e300, 1e10)
+        assert max_computing_rate(1e-300, 1.0) == pytest.approx(1e-300 / (10 * BOLTZMANN * math.log(2)))

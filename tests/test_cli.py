@@ -401,6 +401,15 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["--power", "1", "--noise-temp", "300", "--margin", "inf"],
+                                      ["--power", "5e-324", "--noise-temp", "1e300"]])
+    def test_degenerate_zero_computing_rate_exits_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["compute-bound", *argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_overflowing_computing_rate_exits_one(self, capsys):
         code, out, err = run_cli(capsys, ["compute-bound", "--power", "1e308", "--noise-temp", "1e-300"])
         assert code == 1

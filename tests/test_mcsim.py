@@ -1,5 +1,8 @@
 import contextlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from itertools import combinations
 from unittest import mock
@@ -78,18 +81,24 @@ def reference_relax_final_state(initial, sites, accepts, length):
     return state
 
 
+def apply_chunk_map(initial, sites, accepts, length):
+    """The state after one chunk of steps: its map applied to ``initial``."""
+    kept, flips = mcsim._chunk_map(sites, accepts, length)
+    return (initial & kept) ^ flips
+
+
 def single_shot_relax(length, prob_hot, accept_probability, steps, seed):
-    """Oracle: the earlier draw-and-relax path, kept verbatim as a test-local copy.
+    """Oracle: the earlier draw-and-relax path, kept as a test-local copy.
 
     It holds every draw of the run at once: int64 sites, float64 acceptance
-    draws and the kernel's index arrays.
+    draws and the kernel's index arrays, relaxed as one chunk.
     """
     rng = np.random.default_rng(seed)
     initial = rng.random(length) < prob_hot
 
     sites = rng.integers(0, length, size=steps)
     accepts = rng.random(steps) < accept_probability
-    final = mcsim._relax_final_state(initial, sites, accepts, length)
+    final = apply_chunk_map(initial, sites, accepts, length)
     return initial, final
 
 
@@ -335,7 +344,7 @@ class TestRelaxationKernel:
         initial = rng.random(length) < 0.5
         sites = rng.integers(0, length, size=steps)
         accepts = rng.random(steps) < accept_probability
-        final = mcsim._relax_final_state(initial, sites, accepts, length)
+        final = apply_chunk_map(initial, sites, accepts, length)
         expected = reference_relax_final_state(initial, sites, accepts, length)
         assert final.dtype == expected.dtype
         assert np.array_equal(final, expected)
@@ -399,11 +408,128 @@ class TestStreamedRelaxation:
             label="steps",
         )
         with mock.patch.object(mcsim, "_CHUNK_STEPS", chunk_floor):
-            initial, final = mcsim._relax(length, PROB_HOT, ACCEPT, steps, seed)
+            initial, final = mcsim._relax(length, PROB_HOT, ACCEPT, steps, seed, mcsim._pipelined)
+            serial_initial, serial_final = mcsim._relax(length, PROB_HOT, ACCEPT, steps, seed, map)
         expected_initial, expected_final = single_shot_relax(length, PROB_HOT, ACCEPT, steps, seed)
         assert np.array_equal(initial, expected_initial)
         assert final.dtype == expected_final.dtype
         assert np.array_equal(final, expected_final)
+        assert np.array_equal(serial_initial, expected_initial)
+        assert serial_final.dtype == expected_final.dtype
+        assert np.array_equal(serial_final, expected_final)
+
+    @given(
+        length=st.integers(min_value=1, max_value=64),
+        steps=st.integers(min_value=0, max_value=3000),
+        accept_probability=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_maps_of_a_split_compose_to_the_map_of_the_whole(self, length, steps, accept_probability, seed, data):
+        rng = np.random.default_rng(seed)
+        sites = rng.integers(0, length, size=steps)
+        accepts = rng.random(steps) < accept_probability
+        split = data.draw(st.integers(min_value=0, max_value=steps), label="split")
+        kept, flips = mcsim._chunk_map(sites, accepts, length)
+        for state in (rng.random(length) < 0.5, np.zeros(length, bool), np.ones(length, bool)):
+            halves = state
+            for part in (slice(None, split), slice(split, None)):
+                halves = apply_chunk_map(halves, sites[part], accepts[part], length)
+            assert np.array_equal(halves, (state & kept) ^ flips)
+
+    def test_the_pipeline_keeps_order_and_at_most_two_calls_in_flight(self):
+        drawn = []
+        first_two_together = threading.Barrier(2, timeout=10)
+
+        def numbers():
+            for x in range(12):
+                drawn.append(x)
+                yield x
+
+        def call(x, y):
+            if x < 2:
+                first_two_together.wait()  # fails unless calls 0 and 1 run at once
+            time.sleep(0.002 * (x % 2))  # odd calls finish after the even call behind them
+            return x * y
+
+        for j, result in enumerate(mcsim._pipelined(call, numbers(), range(100, 112))):
+            assert result == j * (100 + j)
+            # Calls j and j + 1 are in flight and the arguments of j + 2 drawn, no more.
+            assert len(drawn) <= j + 3
+        assert len(drawn) == 12
+        assert list(mcsim._pipelined(call, [], [])) == []
+
+    def test_every_draw_of_a_run_happens_on_one_thread(self, monkeypatch):
+        # Two threads drawing from one generator would draw in whichever order
+        # they were scheduled; one thread draws in the protocol's order.
+        default_rng, threads = np.random.default_rng, {}
+
+        class RecordingGenerator:
+            def __init__(self, seed):
+                self.rng, self.seed = default_rng(seed), seed
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    threads.setdefault(self.seed, set()).add(threading.get_ident())
+                    return getattr(self.rng, name)(*args, **kwargs)
+                return draw
+
+        monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
+        simulate_transfer(300, 2 * T_HALF, T_HALF, BIT_ENERGY, 5 * mcsim._CHUNK_STEPS, 7)
+        assert threads == {7: {threading.get_ident()}}
+        threads.clear()
+        run_ensemble(300, 2 * T_HALF, T_HALF, BIT_ENERGY, 3 * mcsim._CHUNK_STEPS, range(4))
+        assert sorted(threads) == [0, 1, 2, 3]
+        assert all(len(idents) == 1 for idents in threads.values())
+
+    def test_an_error_stops_the_pipeline_and_no_call_outlives_it(self):
+        started, finished = [], []
+        second_started = threading.Event()
+
+        def call(x):
+            started.append(x)
+            if x == 0:
+                assert second_started.wait(timeout=10)
+                raise DomainError("the first call fails")
+            second_started.set()
+            time.sleep(0.05)
+            finished.append(x)
+
+        with pytest.raises(DomainError, match="the first call fails"):
+            list(mcsim._pipelined(call, range(10)))
+        assert sorted(started) == [0, 1]
+        assert finished == [1]
+
+    def test_concurrent_callers_get_the_ledgers_of_serial_runs(self):
+        # More calling threads than cores, switching often, all sharing the pool.
+        def serial(seed, steps=3 * 2**17 + 11):
+            return mcsim._transfer(300, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, seed, map)
+
+        expected = {seed: serial(seed) for seed in range(4)}
+        expected_ensemble = [serial(seed, 2000) for seed in range(6)]
+        results, errors = {}, []
+
+        def caller(seed):
+            try:
+                results[seed] = (simulate_transfer(300, 2 * T_HALF, T_HALF, BIT_ENERGY, 3 * 2**17 + 11, seed),
+                                 run_ensemble(300, 2 * T_HALF, T_HALF, BIT_ENERGY, 2000, range(6)))
+            except Exception as exc:  # reported below; a thread's exception is otherwise lost
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == {seed: (expected[seed], expected_ensemble) for seed in range(4)}
 
     @pytest.mark.parametrize(
         "length,steps,seed",
@@ -422,6 +548,12 @@ class TestStreamedRelaxation:
         assert np.array_equal(whole, np.concatenate(pieces))
         # The half-word buffer of the bounded 32-bit path is part of the state.
         assert whole_rng.bit_generator.state == piece_rng.bit_generator.state
+        if high <= 2**32:
+            # The sites are drawn as uint32: the same bounded 32-bit stream.
+            uint32_rng = np.random.default_rng(11)
+            uint32_pieces = [uint32_rng.integers(0, high, size=n, dtype=np.uint32) for n in (1, 2, 4097, 3, 5904)]
+            assert np.array_equal(whole, np.concatenate(uint32_pieces))
+            assert uint32_rng.bit_generator.state == whole_rng.bit_generator.state
         assert whole_rng.random() == piece_rng.random()
 
     @pytest.mark.parametrize("length,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
@@ -434,13 +566,25 @@ class TestMemoryBudget:
     def test_one_benchmark_sized_run_stays_small(self):
         with traced() as peak:
             simulate_transfer(15000, 2 * T_HALF, T_HALF, BIT_ENERGY, 1_500_000, 4)
-        assert peak[0] < 16 * 2**20  # measured 8.5 MiB; the single-shot path took 43 MiB
+        assert peak[0] < 16 * 2**20  # measured 6.8 MiB; the single-shot path took 43 MiB
 
-    @pytest.mark.parametrize("length,steps", [(1000, 10**6), (70000, 3 * 10**5), (2**18, 2**18), (15000, 0)])
+    @pytest.mark.parametrize("length,steps", [(1000, 10**6), (70000, 3 * 10**5), (2**18, 2**18), (15000, 0),
+                                              (15000, 1_500_000), (1, 5 * 2**17 + 1)])
     def test_the_checked_estimate_bounds_the_traced_peak(self, length, steps):
         with traced() as peak:
             simulate_transfer(length, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, 5)
         assert peak[0] <= mcsim._relax_bytes(length, steps)
+
+    @pytest.mark.parametrize("length,steps,runs", [(1000, 10**5, 20), (15000, 1_500_000, 4), (200, 10**6, 3)])
+    def test_the_checked_ensemble_estimate_bounds_the_traced_peak(self, monkeypatch, length, steps, runs):
+        checked = []
+        monkeypatch.setattr(mcsim, "require_within_budget", lambda nbytes, request: checked.append(nbytes))
+        with traced() as peak:
+            run_ensemble(length, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, range(runs))
+        # The first check is the ensemble's own; each run then checks itself.
+        assert checked[0] == runs * mcsim._RUN_BYTES + 2 * mcsim._relax_bytes(length, steps)
+        assert len(checked) == 1 + runs
+        assert peak[0] <= checked[0]
 
     @pytest.mark.parametrize("length,steps", [(1000, 10**12), (10**9, 10**11), (10**8, 0)])
     def test_over_budget_run_is_rejected_before_allocating(self, length, steps):
@@ -458,7 +602,7 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("seeds", [range(10**12), range(10**20), range(2**64 - 10**12, 2**64 + 5)])
     def test_over_budget_ensemble_is_rejected_before_any_run(self, monkeypatch, seeds):
         calls = []
-        monkeypatch.setattr(mcsim, "simulate_transfer", lambda *args: calls.append(args))
+        monkeypatch.setattr(mcsim, "_transfer", lambda *args: calls.append(args))
         with traced() as peak, pytest.raises(DomainError, match="budget"):
             run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, seeds)
         assert peak[0] < 2**20
@@ -485,7 +629,7 @@ class TestSimulateValidation:
 
     def test_ensemble_checks_every_seed_before_running(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(mcsim, "simulate_transfer", lambda *args: calls.append(args))
+        monkeypatch.setattr(mcsim, "_transfer", lambda *args: calls.append(args))
         with pytest.raises(DomainError):
             run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, range(2**64 - 2, 2**64 + 1))
         with pytest.raises(DomainError):
@@ -494,6 +638,21 @@ class TestSimulateValidation:
 
 
 class TestEnsemble:
+    @pytest.mark.parametrize("length,steps,seeds", [(1000, 10**5, range(20)), (15000, 3 * 2**17 + 5, [77, 3, 2**64 - 1]),
+                                                    (1, 50, [5, 0]), (64, 0, [9]), (10, 10, [])])
+    def test_equals_simulate_transfer_seed_by_seed(self, length, steps, seeds):
+        ledgers = run_ensemble(length, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, seeds)
+        assert ledgers == [simulate_transfer(length, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, seed)
+                           for seed in sorted(seeds)]
+
+    def test_a_spy_on_the_runs_sees_every_seed(self, monkeypatch):
+        # The ensemble's checks are tested with a spy on ``_transfer``; it
+        # must be the name through which every run starts.
+        calls = []
+        monkeypatch.setattr(mcsim, "_transfer", lambda *args: calls.append(args))
+        run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, [3, 1, 2])
+        assert [args[5] for args in calls] == [1, 2, 3]
+
     def test_runs_are_sorted_by_seed(self):
         ledgers = run_ensemble(50, 2 * T_HALF, T_HALF, BIT_ENERGY, 1000, [5, 1, 3])
         assert [led.seed for led in ledgers] == [1, 3, 5]
