@@ -31,27 +31,31 @@ for the initial state, then ``steps`` site indices, then ``steps``
 acceptance floats, one per step whether or not the site was empty.
 Identical seeds give bit-identical ledgers.
 
+Relaxation runs backwards from the last step. Any stretch of steps maps the
+state s to (s & kept) ^ flips (``_chunk_map``), and these maps compose
+exactly, so the run folds them in from the end in windows, the first sized
+so that every site is likely rejected in it (``_first_window``), the next
+ones twice as long up to the chunk size. Once every site has been rejected,
+the earlier steps cannot change the final state and the fold stops. Every
+site index is still drawn, because ``integers`` rejection-samples and the
+acceptance floats start only after the last site; each window's floats are
+then read at their place in the stream by advancing the generator
+(``PCG64.advance``), and the floats of steps that cannot matter are never
+generated. The ledgers are those of the forward fold, bit for bit. At
+L = 15000 with 1.5e6 steps and b = exp(-1), the fold usually stops within
+the last three chunks.
+
 Memory: a run keeps one compact buffer of site indices, of dtype
 ``np.min_scalar_type(L - 1)``: 1 byte per step for L <= 256, 2 for
 L <= 65536 and 4 below 2**32. Everything else is drawn and relaxed in
-chunks of max(2**17, L) steps. At most two chunks are relaxed at once and
-the acceptance draws of a third are made meanwhile, so the rest of the
-working set is O(L + chunk). One L=15000 run of 1.5e6 steps peaks at about
-6.8 MiB traced, and L=1e6 with 1e8 steps at about 448 MiB. An ensemble
-keeps two runs in flight. Before allocating anything, ``simulate_transfer``
-and ``run_ensemble`` check an upper bound on the memory they need against
+chunks or windows of at most max(2**17, L) steps, one at a time, so the rest
+of the working set is O(L + chunk). One L=15000 run of 1.5e6 steps peaks at
+about 4.7 MiB traced, and L=1e6 with 1e8 steps at about 415 MiB. Before
+allocating anything, ``simulate_transfer`` and ``run_ensemble``
+check an upper bound on the memory they need against
 ``errors.MEMORY_BUDGET`` (2 GiB) and raise DomainError if it is exceeded.
 
-Threads: the relaxation runs on a pool of two worker threads, created on
-first use; numpy releases the GIL in the draws and in most of the kernel.
-A single run draws every number on the calling thread, in the protocol's
-order, and hands each chunk's sites and acceptances to a worker, which
-computes that chunk's map (``_chunk_map``). The maps come back in chunk
-order and are folded on the calling thread. An ensemble instead runs two
-whole runs at a time, each with its own generator, and returns the ledgers
-in seed order. A worker's result depends only on its arguments and every
-fold is in a fixed order, so the ledgers are bit-identical whatever the
-scheduling, and equal to those of a run without threads.
+Everything runs on the calling thread; the module starts no threads.
 
 Bookkeeping (see ``SimLedger``): the run's ``total_entropy_change`` is the
 entropy production of the simulated relaxation leg - gas entropy change plus
@@ -64,12 +68,8 @@ second-law balance. A full-transfer ledger in the convention of
 occupations, is also reported for comparison.
 """
 
-import collections
-import functools
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,20 +80,16 @@ from .twolevel import _check_counts, multiplicity_ln, transfer_entropy_delta
 
 _PROB_SUM_TOLERANCE = 1e-12
 
-#: Steps drawn and relaxed per chunk, or L if that is larger, so that the
+#: Steps drawn, or relaxed, per chunk, or L if that is larger, so that the
 #: kernel's O(L) work per chunk is spread over at least L steps.
 _CHUNK_STEPS = 2**17
 
-#: Threads that relax chunks of one run, or whole runs of an ensemble, and
-#: the most calls that ``_pipelined`` keeps in flight.
-_WORKERS = 2
-
 #: Bytes per site and per chunk step that bound a run's working memory apart
-#: from its site buffer. Per step: the float64 acceptance draw and three bool
-#: acceptance chunks (two in flight, one drawn next), 12 B, plus 34 B in each
-#: of two kernels in flight (their index, gather and count temporaries).
-#: Per site: the initial draw and state, 12 B, and 26 B in each kernel.
-_WORK_BYTES = 80
+#: from its site buffer. Per step: one chunk's uint32 site draw, or one
+#: window's float64 acceptance draw with its bool, and the kernel's index,
+#: gather and mask temporaries. Per site: the initial draw and state, the
+#: composed map and the kernel's per-site arrays.
+_WORK_BYTES = 64
 
 #: Bytes an ensemble keeps per finished run, rounded up: its ledger, its
 #: entry in the sorted seed list and the row a caller builds from the ledger.
@@ -245,81 +241,75 @@ def _chunk_map(sites: np.ndarray, accepts: np.ndarray, length: int) -> tuple[np.
     return last_reject < 0, flips.astype(bool)
 
 
-@functools.cache
-def _pool() -> ThreadPoolExecutor:
-    """The worker pool. Its threads start with its first call, so importing this module starts none.
-
-    Two threads that ask for it at once for the first time may each get a
-    pool of their own; both work, and the spare's idle threads end with the
-    interpreter.
-    """
-    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="infotherm-relax")
-
-
-# A forked child inherits the pool object but none of its threads.
-os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _pipelined(fn, *iterables):
-    """``map(fn, *iterables)`` on the worker pool: results in order, at most two calls in flight.
-
-    The arguments of each call are taken from the iterables on the calling
-    thread while the two calls before it run. A call must not wait on another
-    pool task, or the two workers could deadlock. If a call raises, or the
-    caller stops early, no further call starts and the calls in flight end
-    before this generator does.
-    """
-    pool = _pool()
-    pending = collections.deque()
-    try:
-        for args in zip(*iterables):
-            if len(pending) == _WORKERS:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, *args))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        wait(pending)
-
-
 def _chunk_steps(length: int) -> int:
     return max(_CHUNK_STEPS, length)
 
 
 def _relax_bytes(length: int, steps: int) -> int:
-    """Upper bound, in bytes, on the memory of one run: the site buffer plus the work in flight."""
+    """Upper bound, in bytes, on the memory of one run: the site buffer plus one chunk's work."""
     site_bytes = np.min_scalar_type(max(length - 1, 0)).itemsize
     return steps * site_bytes + _WORK_BYTES * (length + _chunk_steps(length))
 
 
+def _first_window(length: int, accept_probability: float) -> int:
+    """Steps in the last window of a run: each site escapes rejection in it with probability below 1 / (16 L).
+
+    A step rejects a given site with probability (1 - accept_probability) / L,
+    so in n steps that site escapes with probability (1 - that)**n, and the
+    expected number of sites left to an earlier window stays below 1/16. A
+    rejection-free chain (accept_probability = 1) gets a whole chunk.
+    """
+    chunk = _chunk_steps(length)
+    reject = (1.0 - accept_probability) / length
+    if reject >= 1.0:
+        return 1
+    if reject == 0.0:
+        return chunk
+    return min(chunk, max(1, math.ceil(math.log(16 * length) / -math.log1p(-reject))))
+
+
 def _relax(
-    length: int, prob_hot: float, accept_probability: float, steps: int, seed: int, fold_map
+    length: int, prob_hot: float, accept_probability: float, steps: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial and final state of one run, drawn in the protocol's order.
 
     All site indices are drawn before any acceptance float. ``integers``
     rejection-samples, so its raw-draw count depends on the data and the
     acceptance stream's start is known only once every site is drawn. The
-    sites therefore go into one compact buffer, then the acceptance floats
-    are drawn one chunk at a time and each chunk's map is folded into the
-    state in chunk order. ``fold_map`` is ``_pipelined`` or the builtin
-    ``map``; every draw happens on the calling thread either way. Drawing in
-    chunks yields the same numbers as one call, because the bit generator
-    holds the half-word buffer of numpy's bounded 32-bit path, and a uint32
-    draw is that same path.
+    sites therefore go into one compact buffer, drawn in chunks; a uint32
+    draw is numpy's bounded 32-bit path, and the bit generator holds its
+    half-word buffer, so the chunks yield the same numbers as one call.
+
+    The chunk maps are then folded in from the last step backwards (module
+    docstring): a window's map is applied before the maps of the steps after
+    it, and the fold stops once no site is kept. Each acceptance float is one
+    64-bit output of the generator, so a window's floats are drawn after
+    resetting the generator to the acceptance stream's start and advancing
+    it past the steps before the window.
     """
     rng = np.random.default_rng(seed)
     initial = rng.random(length) < prob_hot
     chunk = _chunk_steps(length)
     sites = np.empty(steps, dtype=np.min_scalar_type(length - 1))
-    parts = [sites[start:start + chunk] for start in range(0, steps, chunk)]
-    for part in parts:
+    for start in range(0, steps, chunk):
+        part = sites[start:start + chunk]
         part[:] = rng.integers(0, length, size=part.size, dtype=np.uint32)
-    accepts = (rng.random(part.size) < accept_probability for part in parts)
-    final = initial
-    for kept, flips in fold_map(functools.partial(_chunk_map, length=length), parts, accepts):
-        final = (final & kept) ^ flips
-    return initial, final
+    bits = rng.bit_generator
+    accept_stream = bits.state
+    # (kept, flips) is the map of steps [stop, steps): the identity to begin with.
+    kept, flips = np.ones(length, dtype=bool), np.zeros(length, dtype=bool)
+    stop, window = steps, _first_window(length, accept_probability)
+    while stop > 0 and kept.any():
+        start = max(0, stop - window)
+        bits.state = accept_stream
+        bits.advance(start)
+        accepts = rng.random(stop - start) < accept_probability
+        window_kept, window_flips = _chunk_map(sites[start:stop], accepts, length)
+        # The window's steps come first, so the later steps' kept masks its flips.
+        flips ^= window_flips & kept
+        kept &= window_kept
+        stop, window = start, min(chunk, 2 * window)
+    return initial, (initial & kept) ^ flips
 
 
 def simulate_transfer(
@@ -337,13 +327,6 @@ def simulate_transfer(
     exceeds ``errors.MEMORY_BUDGET`` raises DomainError before anything is
     allocated.
     """
-    return _transfer(length, t_hot, t_cold, bit_energy, steps, seed, _pipelined)
-
-
-def _transfer(
-    length: int, t_hot: float, t_cold: float, bit_energy: float, steps: int, seed: int, fold_map
-) -> SimLedger:
-    """``simulate_transfer``, folding the chunk maps through ``fold_map`` (see ``_relax``)."""
     if not (t_cold > 0 and t_hot > t_cold):
         raise DomainError(
             f"need t_hot > t_cold > 0, got t_hot={t_hot}, t_cold={t_cold}"
@@ -356,7 +339,7 @@ def _transfer(
 
     prob_hot = _site_probability(t_hot, bit_energy)
     require_within_budget(_relax_bytes(length, steps), f"a run of L={length} with {steps} steps")
-    initial, final = _relax(length, prob_hot, math.exp(-bit_energy / (K_B * t_cold)), steps, seed, fold_map)
+    initial, final = _relax(length, prob_hot, math.exp(-bit_energy / (K_B * t_cold)), steps, seed)
 
     p_initial = int(initial.sum())
     p_final = int(final.sum())
@@ -406,22 +389,21 @@ def run_ensemble(
     """Independent runs over the given seeds, in seed order.
 
     Every seed, and the memory of the whole ensemble, is checked before the
-    first run starts. Two runs are in flight at a time, each on its own
-    worker thread with its own generator, so the ledgers are those of
-    ``simulate_transfer`` run seed by seed.
+    first run starts.
     """
     try:
         runs = len(seeds)
     except OverflowError:  # a range longer than sys.maxsize
         raise DomainError(f"an ensemble of more than {sys.maxsize} runs is over the memory budget") from None
-    require_within_budget(runs * _RUN_BYTES + _WORKERS * _relax_bytes(length, steps), f"an ensemble of {runs} runs")
+    require_within_budget(runs * _RUN_BYTES + _relax_bytes(length, steps), f"an ensemble of {runs} runs")
     ordered = sorted(seeds)
     if ordered:
         _check_seed(ordered[0])
         _check_seed(ordered[-1])
-    # A run folds its chunks through the builtin map: a pool task that waited
-    # on other pool tasks could deadlock the two workers.
-    return list(_pipelined(lambda seed: _transfer(length, t_hot, t_cold, bit_energy, steps, seed, map), ordered))
+    return [
+        simulate_transfer(length, t_hot, t_cold, bit_energy, steps, seed)
+        for seed in ordered
+    ]
 
 
 def ensemble_summary(ledgers: list[SimLedger]) -> dict:

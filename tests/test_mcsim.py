@@ -1,8 +1,5 @@
 import contextlib
 import math
-import sys
-import threading
-import time
 import tracemalloc
 from itertools import combinations
 from unittest import mock
@@ -397,10 +394,13 @@ class TestStreamedRelaxation:
         length=st.one_of(st.integers(min_value=1, max_value=64), st.just(15000)),
         chunk_floor=st.sampled_from([1, 7, 4097, mcsim._CHUNK_STEPS]),
         seed=st.one_of(st.sampled_from(KNOWN_SEEDS), st.integers(min_value=0, max_value=2**64 - 1)),
+        # exp(-1) as simulated; no rejection, so the fold reaches the first
+        # step; rare rejection, so it stops somewhere in between.
+        accept_probability=st.sampled_from([ACCEPT, 0.0, 1.0, 0.999, 1 - 1e-9]),
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_single_shot_path(self, length, chunk_floor, seed, data):
+    def test_matches_the_single_shot_path(self, length, chunk_floor, seed, accept_probability, data):
         chunk = max(chunk_floor, length)
         steps = data.draw(
             st.one_of(st.integers(min_value=0, max_value=3).map(lambda k: k * chunk),
@@ -408,15 +408,11 @@ class TestStreamedRelaxation:
             label="steps",
         )
         with mock.patch.object(mcsim, "_CHUNK_STEPS", chunk_floor):
-            initial, final = mcsim._relax(length, PROB_HOT, ACCEPT, steps, seed, mcsim._pipelined)
-            serial_initial, serial_final = mcsim._relax(length, PROB_HOT, ACCEPT, steps, seed, map)
-        expected_initial, expected_final = single_shot_relax(length, PROB_HOT, ACCEPT, steps, seed)
+            initial, final = mcsim._relax(length, PROB_HOT, accept_probability, steps, seed)
+        expected_initial, expected_final = single_shot_relax(length, PROB_HOT, accept_probability, steps, seed)
         assert np.array_equal(initial, expected_initial)
         assert final.dtype == expected_final.dtype
         assert np.array_equal(final, expected_final)
-        assert np.array_equal(serial_initial, expected_initial)
-        assert serial_final.dtype == expected_final.dtype
-        assert np.array_equal(serial_final, expected_final)
 
     @given(
         length=st.integers(min_value=1, max_value=64),
@@ -438,98 +434,35 @@ class TestStreamedRelaxation:
                 halves = apply_chunk_map(halves, sites[part], accepts[part], length)
             assert np.array_equal(halves, (state & kept) ^ flips)
 
-    def test_the_pipeline_keeps_order_and_at_most_two_calls_in_flight(self):
-        drawn = []
-        first_two_together = threading.Barrier(2, timeout=10)
+    @pytest.mark.parametrize("length,steps,accept_probability",
+                             [(1000, 10**5, ACCEPT), (15000, 1_500_000, ACCEPT), (64, 10**4, 1.0), (64, 10**4, 0.0)])
+    def test_the_fold_stops_once_every_site_is_rejected(self, monkeypatch, length, steps, accept_probability):
+        expected_initial, expected_final = single_shot_relax(length, PROB_HOT, accept_probability, steps, 3)
+        relaxed, chunk_map = [], mcsim._chunk_map
 
-        def numbers():
-            for x in range(12):
-                drawn.append(x)
-                yield x
+        def spy(sites, accepts, length):
+            relaxed.append(len(sites))
+            return chunk_map(sites, accepts, length)
 
-        def call(x, y):
-            if x < 2:
-                first_two_together.wait()  # fails unless calls 0 and 1 run at once
-            time.sleep(0.002 * (x % 2))  # odd calls finish after the even call behind them
-            return x * y
+        monkeypatch.setattr(mcsim, "_chunk_map", spy)
+        initial, final = mcsim._relax(length, PROB_HOT, accept_probability, steps, 3)
+        assert np.array_equal(initial, expected_initial)
+        assert np.array_equal(final, expected_final)
+        # Without rejections every step is relaxed, once; otherwise most early steps are skipped.
+        if accept_probability == 1.0:
+            assert sum(relaxed) == steps
+        else:
+            assert 0 < sum(relaxed) < steps // 2
+        assert max(relaxed) <= mcsim._chunk_steps(length)
 
-        for j, result in enumerate(mcsim._pipelined(call, numbers(), range(100, 112))):
-            assert result == j * (100 + j)
-            # Calls j and j + 1 are in flight and the arguments of j + 2 drawn, no more.
-            assert len(drawn) <= j + 3
-        assert len(drawn) == 12
-        assert list(mcsim._pipelined(call, [], [])) == []
-
-    def test_every_draw_of_a_run_happens_on_one_thread(self, monkeypatch):
-        # Two threads drawing from one generator would draw in whichever order
-        # they were scheduled; one thread draws in the protocol's order.
-        default_rng, threads = np.random.default_rng, {}
-
-        class RecordingGenerator:
-            def __init__(self, seed):
-                self.rng, self.seed = default_rng(seed), seed
-
-            def __getattr__(self, name):
-                def draw(*args, **kwargs):
-                    threads.setdefault(self.seed, set()).add(threading.get_ident())
-                    return getattr(self.rng, name)(*args, **kwargs)
-                return draw
-
-        monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
-        simulate_transfer(300, 2 * T_HALF, T_HALF, BIT_ENERGY, 5 * mcsim._CHUNK_STEPS, 7)
-        assert threads == {7: {threading.get_ident()}}
-        threads.clear()
-        run_ensemble(300, 2 * T_HALF, T_HALF, BIT_ENERGY, 3 * mcsim._CHUNK_STEPS, range(4))
-        assert sorted(threads) == [0, 1, 2, 3]
-        assert all(len(idents) == 1 for idents in threads.values())
-
-    def test_an_error_stops_the_pipeline_and_no_call_outlives_it(self):
-        started, finished = [], []
-        second_started = threading.Event()
-
-        def call(x):
-            started.append(x)
-            if x == 0:
-                assert second_started.wait(timeout=10)
-                raise DomainError("the first call fails")
-            second_started.set()
-            time.sleep(0.05)
-            finished.append(x)
-
-        with pytest.raises(DomainError, match="the first call fails"):
-            list(mcsim._pipelined(call, range(10)))
-        assert sorted(started) == [0, 1]
-        assert finished == [1]
-
-    def test_concurrent_callers_get_the_ledgers_of_serial_runs(self):
-        # More calling threads than cores, switching often, all sharing the pool.
-        def serial(seed, steps=3 * 2**17 + 11):
-            return mcsim._transfer(300, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, seed, map)
-
-        expected = {seed: serial(seed) for seed in range(4)}
-        expected_ensemble = [serial(seed, 2000) for seed in range(6)]
-        results, errors = {}, []
-
-        def caller(seed):
-            try:
-                results[seed] = (simulate_transfer(300, 2 * T_HALF, T_HALF, BIT_ENERGY, 3 * 2**17 + 11, seed),
-                                 run_ensemble(300, 2 * T_HALF, T_HALF, BIT_ENERGY, 2000, range(6)))
-            except Exception as exc:  # reported below; a thread's exception is otherwise lost
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert results == {seed: (expected[seed], expected_ensemble) for seed in range(4)}
+    def test_the_first_window_leaves_few_sites_unrejected(self):
+        for length in (1, 64, 1000, 15000):
+            window = mcsim._first_window(length, ACCEPT)
+            assert 1 <= window <= mcsim._chunk_steps(length)
+            if window < mcsim._chunk_steps(length):
+                assert length * (1 - (1 - ACCEPT) / length) ** window <= 1 / 16
+        assert mcsim._first_window(10, 1.0) == mcsim._chunk_steps(10)
+        assert mcsim._first_window(1, 0.0) == 1
 
     @pytest.mark.parametrize(
         "length,steps,seed",
@@ -566,7 +499,7 @@ class TestMemoryBudget:
     def test_one_benchmark_sized_run_stays_small(self):
         with traced() as peak:
             simulate_transfer(15000, 2 * T_HALF, T_HALF, BIT_ENERGY, 1_500_000, 4)
-        assert peak[0] < 16 * 2**20  # measured 6.8 MiB; the single-shot path took 43 MiB
+        assert peak[0] < 16 * 2**20  # measured 4.7 MiB; the single-shot path took 43 MiB
 
     @pytest.mark.parametrize("length,steps", [(1000, 10**6), (70000, 3 * 10**5), (2**18, 2**18), (15000, 0),
                                               (15000, 1_500_000), (1, 5 * 2**17 + 1)])
@@ -582,7 +515,7 @@ class TestMemoryBudget:
         with traced() as peak:
             run_ensemble(length, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, range(runs))
         # The first check is the ensemble's own; each run then checks itself.
-        assert checked[0] == runs * mcsim._RUN_BYTES + 2 * mcsim._relax_bytes(length, steps)
+        assert checked[0] == runs * mcsim._RUN_BYTES + mcsim._relax_bytes(length, steps)
         assert len(checked) == 1 + runs
         assert peak[0] <= checked[0]
 
@@ -602,7 +535,7 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("seeds", [range(10**12), range(10**20), range(2**64 - 10**12, 2**64 + 5)])
     def test_over_budget_ensemble_is_rejected_before_any_run(self, monkeypatch, seeds):
         calls = []
-        monkeypatch.setattr(mcsim, "_transfer", lambda *args: calls.append(args))
+        monkeypatch.setattr(mcsim, "simulate_transfer", lambda *args: calls.append(args))
         with traced() as peak, pytest.raises(DomainError, match="budget"):
             run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, seeds)
         assert peak[0] < 2**20
@@ -629,7 +562,7 @@ class TestSimulateValidation:
 
     def test_ensemble_checks_every_seed_before_running(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(mcsim, "_transfer", lambda *args: calls.append(args))
+        monkeypatch.setattr(mcsim, "simulate_transfer", lambda *args: calls.append(args))
         with pytest.raises(DomainError):
             run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, range(2**64 - 2, 2**64 + 1))
         with pytest.raises(DomainError):
@@ -646,12 +579,12 @@ class TestEnsemble:
                            for seed in sorted(seeds)]
 
     def test_a_spy_on_the_runs_sees_every_seed(self, monkeypatch):
-        # The ensemble's checks are tested with a spy on ``_transfer``; it
-        # must be the name through which every run starts.
+        # The ensemble's checks are tested with a spy on ``simulate_transfer``;
+        # it must be the name through which every run starts.
         calls = []
-        monkeypatch.setattr(mcsim, "_transfer", lambda *args: calls.append(args))
+        monkeypatch.setattr(mcsim, "simulate_transfer", lambda *args: calls.append(args))
         run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, [3, 1, 2])
-        assert sorted(args[5] for args in calls) == [1, 2, 3]  # runs may start in either order
+        assert [args[5] for args in calls] == [1, 2, 3]
 
     def test_runs_are_sorted_by_seed(self):
         ledgers = run_ensemble(50, 2 * T_HALF, T_HALF, BIT_ENERGY, 1000, [5, 1, 3])
