@@ -16,7 +16,7 @@ macroscopic entropies alike.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidQuantityError, require_positive
+from .errors import DomainError, require_at_least, require_finite, require_positive
 from .quantities import K_B, LN2, unit
 
 VERDICT_SATISFIED = "satisfied"
@@ -46,22 +46,11 @@ class EntropyLedger:
 def carnot_efficiency(t_hot: float, t_cold: float) -> float:
     """Maximum work fraction extractable between two baths: 1 - T_cold/T_hot."""
     require_positive(t_cold=t_cold)
-    if not t_hot > t_cold:
+    if not (t_hot == math.inf or require_finite("t_hot", t_hot) > t_cold):
         raise DomainError(
             f"no extractable work: t_hot ({t_hot}) must exceed t_cold ({t_cold})"
         )
     return 1.0 - t_cold / t_hot
-
-
-def _finite(value, name: str):
-    """``value`` unchanged if it is a finite real number, else DomainError (a bool is no number)."""
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise DomainError(f"{name} must be a finite number, got {value!r}")
-    return value
 
 
 def _finite_sum(values, name: str) -> float:
@@ -70,7 +59,7 @@ def _finite_sum(values, name: str) -> float:
         total = math.fsum(values)
     except (OverflowError, ValueError):  # intermediate overflow, or inf + -inf
         total = math.nan
-    return _finite(total, name)
+    return require_finite(name, total)
 
 
 def clausius_check(
@@ -83,27 +72,29 @@ def clausius_check(
 
     ``tolerance`` defaults to 1e-12 times the largest of |delta_s|,
     sum |dQ/T| and k_B * info_term. ``delta_s``, ``info_term`` and the heat
-    terms are stored as floats. A ledger whose sums overflow double precision
-    has no verdict and raises DomainError.
+    terms are stored as floats; each heat term must be a list or tuple of
+    two. A ledger whose sums overflow double precision has no verdict and
+    raises DomainError.
     """
-    delta_s = float(_finite(delta_s, "delta_s"))
-    info_term = float(_finite(info_term, "info_term"))
-    if info_term < 0:
-        raise InvalidQuantityError(f"info_term must be finite and >= 0, got {info_term}")
+    delta_s = float(require_finite("delta_s", delta_s))
+    require_at_least(0, info_term=info_term)
+    info_term = float(info_term)
+    if not (isinstance(heat_terms, (list, tuple))
+            and all(isinstance(term, (list, tuple)) and len(term) == 2 for term in heat_terms)):
+        raise DomainError(f"heat_terms must be a list of [heat, temperature] pairs, got {heat_terms!r}")
     terms = []
     for heat, temp in heat_terms:
-        if not _finite(temp, "every bath temperature") > 0:
-            raise DomainError(f"every bath temperature must be finite and > 0, got {temp}")
-        terms.append((float(_finite(heat, "every heat term")), float(temp)))
+        require_positive(bath_temperature=temp)
+        terms.append((float(require_finite("every heat term", heat)), float(temp)))
 
     heat_over_t = _finite_sum((heat / temp for heat, temp in terms), "the sum of the heat terms dQ/T")
     info_si = K_B * info_term
-    slack = _finite(delta_s - heat_over_t - info_si, "the slack")
+    slack = require_finite("the slack", delta_s - heat_over_t - info_si)
     if tolerance is None:
         scale = max(abs(delta_s), _finite_sum((abs(h) / t for h, t in terms), "the sum of |dQ/T|"), info_si)
         tolerance = _RELATIVE_TOLERANCE * scale
-    elif _finite(tolerance, "tolerance") < 0:
-        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
+    else:
+        require_at_least(0, tolerance=tolerance)
 
     if abs(slack) <= tolerance:
         verdict = VERDICT_EQUALITY
@@ -130,8 +121,7 @@ def max_computing_rate(power: float, noise_temperature: float, margin: float = 1
     that overflows double precision, or underflows to 0, raises DomainError.
     """
     require_positive(power=power, noise_temperature=noise_temperature)
-    if not (margin >= 1 and math.isfinite(margin)):
-        raise DomainError(f"margin must be finite and >= 1, got {margin}")
+    require_at_least(1, margin=margin)
     rate = power / (margin * K_B * LN2 * noise_temperature)
     if not (rate > 0 and math.isfinite(rate)):
         raise DomainError(

@@ -14,7 +14,9 @@ just both available.
 
 Bit rate and carrier frequency are separate parameters: the wavelength comes
 from the carrier, the per-bit energy from the bit rate. They often coincide
-numerically, so the carrier defaults to the bit rate.
+numerically, so the carrier defaults to the bit rate. A squared length (a
+distance, an antenna radius or a wavelength) that overflows double precision
+or underflows to 0 raises DomainError.
 
 Relation to the per-bit picture: for a random file only half the slots carry
 an excited bit, so average power P corresponds to a one-bit energy of 2P/f
@@ -26,11 +28,22 @@ with bit energy 2P/f.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_positive
+from .errors import DomainError, require_at_least, require_positive
 from .quantities import C_LIGHT, K_B, LN2, unit
 
 #: Detection criteria accepted by :func:`max_range`.
 RANGE_CRITERIA = ("bit-energy", "file-temperature")
+
+
+def _squared(length: float, name: str) -> float:
+    """``length**2``, or DomainError when the square overflows or underflows to 0."""
+    try:
+        square = length**2
+    except OverflowError:
+        square = math.inf
+    if not 0 < square < math.inf:
+        raise DomainError(f"the square of the {name} of {length} m {'overflows' if square else 'underflows to 0'}")
+    return square
 
 
 @dataclass(frozen=True)
@@ -71,7 +84,7 @@ class LinkBudget:
     def received_bit_energy(self, distance: float) -> float:
         """Per-bit energy at a receiver of this budget's area at ``distance``."""
         require_positive(distance=distance)
-        return (self.power / self.bit_rate) * self.receiver_area / (4.0 * math.pi * distance**2)
+        return (self.power / self.bit_rate) * self.receiver_area / (4.0 * math.pi * _squared(distance, "distance"))
 
 
 @dataclass(frozen=True)
@@ -124,7 +137,7 @@ def receiver_temperature(source_kelvin: float, area: float, distance: float) -> 
     area at least the full sphere) is flagged, not rejected.
     """
     require_positive(source_kelvin=source_kelvin, area=area, distance=distance)
-    factor = area / (4.0 * math.pi * distance**2)
+    factor = area / (4.0 * math.pi * _squared(distance, "distance"))
     return ReceiverTemperature(kelvin=source_kelvin * factor, geometric_factor=factor)
 
 
@@ -134,10 +147,8 @@ def broadcast_entropy_balance(info_nats: float, receivers: int) -> BroadcastBala
     Peer-to-peer (N = 1) increases nothing; every additional receiver adds a
     full copy of the file's information to the books.
     """
-    if receivers < 1:
-        raise DomainError(f"receiver count must be >= 1, got {receivers}")
-    if info_nats < 0 or not math.isfinite(info_nats):
-        raise DomainError(f"information must be finite and >= 0, got {info_nats}")
+    require_at_least(1, receivers=receivers)
+    require_at_least(0, information=info_nats)
     return BroadcastBalance(
         info_per_file=info_nats,
         receivers=receivers,
@@ -182,7 +193,7 @@ def max_broadcast_information(
         duration=duration,
     )
     wavelength = C_LIGHT / carrier_frequency
-    patches = 4.0 * math.pi * antenna_radius**2 / wavelength**2
+    patches = 4.0 * math.pi * _squared(antenna_radius, "antenna radius") / _squared(wavelength, "wavelength")
     bits = bit_rate * patches * duration
     return BroadcastInformation(
         nats=LN2 * bits, bits=bits, wavelength=wavelength, radius=antenna_radius

@@ -39,7 +39,7 @@ import os
 import sys
 
 from . import bounds, broadcast, fileinfo, twolevel
-from .errors import DomainError, require_within_budget
+from .errors import DomainError, require_at_least, require_positive, require_within_budget
 from .quantities import K_B, LN2, convert_information
 
 FORMAT_ENV_VAR = "INFOTHERM_FORMAT"
@@ -337,7 +337,9 @@ def _resolve_area(args) -> float:
     wavelength = broadcast.LinkBudget(
         power=args.power, bit_rate=args.bit_rate, receiver_area=1.0, carrier_frequency=args.carrier
     ).wavelength
-    return args.area if args.area is not None else wavelength**2 / _AREA_MODES[args.area_mode]
+    if args.area is not None:
+        return args.area
+    return broadcast._squared(wavelength, "wavelength") / _AREA_MODES[args.area_mode]
 
 
 @_command("broadcast range", "maximum broadcast range",
@@ -439,10 +441,7 @@ def _clausius(args, env: Envelope) -> None:
     unknown = sorted(payload.keys() - _LEDGER_KEYS)
     if unknown:
         raise DomainError(f"ledger has unknown keys {unknown}; allowed keys are {', '.join(_LEDGER_KEYS)}")
-    heat_terms = payload.get("heat_terms", [])
-    if not isinstance(heat_terms, list) or not all(isinstance(t, list) and len(t) == 2 for t in heat_terms):
-        raise DomainError(f"ledger heat_terms must be a list of [heat, temperature] pairs, got {heat_terms!r}")
-    ledger = bounds.clausius_check(payload["delta_S"], heat_terms, payload.get("info_term", 0.0),
+    ledger = bounds.clausius_check(payload["delta_S"], payload.get("heat_terms", []), payload.get("info_term", 0.0),
                                    payload.get("tolerance"))
     env.add_input("ledger", "<stdin>" if args.ledger == "-" else args.ledger, "path")
     env.add_results(ledger)
@@ -492,12 +491,16 @@ def _simulate(args, env: Envelope) -> None:
 
 
 def _add_flags(parser, flags: tuple) -> None:
-    """Add each row as a flag; a tuple of rows becomes a mutually exclusive group."""
+    """Add each row as a flag; a tuple of rows becomes a mutually exclusive group.
+
+    The help shows the default unless the row's help gives its own.
+    """
     for entry in flags:
         group = not isinstance(entry, _Flag)
         target = parser.add_mutually_exclusive_group(required=entry[0].default is _REQUIRED) if group else parser
         for flag in entry if group else (entry,):
             text, paren, note = flag.help.partition(" (")
+            shown = f"{text} [{flag.unit}]{paren}{note}" if flag.unit else flag.help
             kind = ({"action": "store_true"} if flag.parse is bool
                     else {"choices": flag.parse} if isinstance(flag.parse, tuple) else {"type": flag.parse})
             target.add_argument(
@@ -505,7 +508,7 @@ def _add_flags(parser, flags: tuple) -> None:
                 **kind,
                 required=flag.default is _REQUIRED and not group,
                 default=None if flag.default is _REQUIRED else flag.default,
-                help=f"{text} [{flag.unit}]{paren}{note}" if flag.unit else flag.help,
+                help=shown if "(default:" in shown else shown + " (default: %(default)s)",
             )
 
 
@@ -520,18 +523,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Thermodynamics of bits: two-level gas, file analysis, broadcast and computing bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
     groups = {}
     for name, (help_line, _, flags) in _COMMANDS.items():
         group, _, action = name.rpartition(" ")
         if group and group not in groups:
-            group_parser = sub.add_parser(group, help=_GROUPS[group], formatter_class=fmt)
+            group_parser = sub.add_parser(group, help=_GROUPS[group])
             groups[group] = group_parser.add_subparsers(dest=f"{group}_action", required=True)
-        leaf = groups.get(group, sub).add_parser(action, help=help_line, formatter_class=fmt)
+        leaf = groups.get(group, sub).add_parser(action, help=help_line)
         leaf.set_defaults(leaf=name)
         _add_flags(leaf, (_FORMAT_FLAGS,) + flags)
-    sweep = sub.add_parser("sweep", help="iterate one numeric flag of another subcommand over a range; emits CSV",
-                           formatter_class=fmt)
+    sweep = sub.add_parser("sweep", help="iterate one numeric flag of another subcommand over a range; emits CSV")
     _add_flags(sweep, _SWEEP_FLAGS)
     sweep.add_argument("target", nargs=argparse.REMAINDER,
                        help="target subcommand and its fixed flags (prefix with --)")
@@ -551,14 +552,12 @@ _SWEEP_POINT_BYTES = 2048
 
 
 def _sweep_values(args) -> list[float]:
-    if args.count < 1:
-        raise DomainError(f"sweep count must be >= 1, got {args.count}")
+    require_at_least(1, count=args.count)
     require_within_budget(args.count * _SWEEP_POINT_BYTES, f"a sweep of {args.count} points")
     if args.count == 1:
         return [args.start]
     if args.log:
-        if args.start <= 0 or args.stop <= 0:
-            raise DomainError("logarithmic sweeps need positive start and stop")
+        require_positive(start=args.start, stop=args.stop)
         ratio = (args.stop / args.start) ** (1.0 / (args.count - 1))
         values = [args.start * ratio**i for i in range(args.count)]
     else:

@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 from . import lz
-from .errors import DomainError, EmptyFileError, SampleSizeError, UndefinedTemperatureError, require_positive
+from .errors import DomainError, EmptyFileError, SampleSizeError, UndefinedTemperatureError
+from .errors import require_at_least, require_finite, require_positive
 from .quantities import K_B, LN2, unit
 
 #: Block size used for the block-entropy field of a standard report.
@@ -65,7 +66,7 @@ def _require_data(data: bytes) -> None:
 
 
 def _check_block_bits(block_bits: int) -> None:
-    if not 1 <= block_bits <= 24:
+    if not 1 <= require_finite("block size", block_bits) <= 24:
         raise DomainError(f"block size must be in [1, 24] bits, got {block_bits}")
 
 
@@ -83,8 +84,8 @@ def analyze_counts(data: bytes, bit_energy: float) -> tuple[int, int, float]:
 
 def max_information(bit_length: int) -> float:
     """Largest information a file of bit_length bits can carry: L ln 2 nats."""
-    if bit_length < 1:
-        raise EmptyFileError(f"bit_length must be >= 1, got {bit_length}")
+    if not require_finite("bit_length", bit_length) >= 1:
+        raise EmptyFileError(f"a file of {bit_length} bits holds no information")
     return bit_length * LN2
 
 
@@ -161,13 +162,10 @@ def effective_temperature(energy: float, info_nats: float) -> float:
     """Temperature of a file given its energy and estimated information.
 
     energy / (k_B * info). Returns +inf when a file carries energy but no
-    information (the degenerate fully-ordered limit). A negative or NaN
-    argument raises DomainError.
+    information (the degenerate fully-ordered limit). A negative or
+    non-finite argument raises DomainError.
     """
-    if not energy >= 0:
-        raise DomainError(f"energy must be >= 0, got {energy}")
-    if not info_nats >= 0:
-        raise DomainError(f"information must be >= 0, got {info_nats}")
+    require_at_least(0, energy=energy, information=info_nats)
     if info_nats == 0.0:
         if energy == 0.0:
             raise UndefinedTemperatureError("temperature of zero energy and zero information is undefined")

@@ -74,9 +74,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidDistributionError, require_positive, require_within_budget
+from .errors import DomainError, InvalidDistributionError, require_at_least, require_finite, require_positive
+from .errors import require_within_budget
 from .quantities import K_B, unit
-from .twolevel import _check_counts, multiplicity_ln, transfer_entropy_delta
+from .twolevel import _check_counts, multiplicity_ln, occupation_at, transfer_entropy_delta
 
 _PROB_SUM_TOLERANCE = 1e-12
 
@@ -170,16 +171,8 @@ class SimLedger:
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
+    if not 0 <= require_finite("seed", seed) < 2**64:
         raise DomainError(f"seed must be in [0, 2**64), got {seed}")
-
-
-def _site_probability(temperature: float, bit_energy: float) -> float:
-    if not (temperature > 0):
-        raise DomainError(f"temperature must be > 0, got {temperature}")
-    require_positive(bit_energy=bit_energy)
-    boltzmann = math.exp(-bit_energy / (K_B * temperature)) if math.isfinite(temperature) else 1.0
-    return boltzmann / (1.0 + boltzmann)
 
 
 def sample_equilibrium(length: int, ones: int, seed: int) -> Configuration:
@@ -203,9 +196,8 @@ def sample_canonical(length: int, temperature: float, bit_energy: float, seed: i
     Each site is excited with probability 1 / (1 + exp(bit_energy / k_B T)),
     so the mean ones count matches the equilibrium occupation law.
     """
-    if length < 1:
-        raise DomainError(f"length must be >= 1, got {length}")
-    prob = _site_probability(temperature, bit_energy)
+    require_at_least(1, length=length)
+    prob = occupation_at(1, temperature, bit_energy)
     _check_seed(seed)
     draws = np.random.default_rng(seed).random(length)
     return Configuration((draws < prob).astype(np.uint8).tobytes())
@@ -327,17 +319,14 @@ def simulate_transfer(
     exceeds ``errors.MEMORY_BUDGET`` raises DomainError before anything is
     allocated.
     """
-    if not (t_cold > 0 and t_hot > t_cold):
-        raise DomainError(
-            f"need t_hot > t_cold > 0, got t_hot={t_hot}, t_cold={t_cold}"
-        )
-    if length < 1:
-        raise DomainError(f"length must be >= 1, got {length}")
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+    require_at_least(1, length=length)
+    require_at_least(0, steps=steps)
+    require_positive(t_cold=t_cold)
+    if not (t_hot == math.inf or require_finite("t_hot", t_hot) > t_cold):
+        raise DomainError(f"need t_hot > t_cold > 0, got t_hot={t_hot}, t_cold={t_cold}")
     _check_seed(seed)
 
-    prob_hot = _site_probability(t_hot, bit_energy)
+    prob_hot = occupation_at(1, t_hot, bit_energy)
     require_within_budget(_relax_bytes(length, steps), f"a run of L={length} with {steps} steps")
     initial, final = _relax(length, prob_hot, math.exp(-bit_energy / (K_B * t_cold)), steps, seed)
 
@@ -395,6 +384,8 @@ def run_ensemble(
         runs = len(seeds)
     except OverflowError:  # a range longer than sys.maxsize
         raise DomainError(f"an ensemble of more than {sys.maxsize} runs is over the memory budget") from None
+    require_at_least(1, length=length)
+    require_at_least(0, steps=steps)
     require_within_budget(runs * _RUN_BYTES + _relax_bytes(length, steps), f"an ensemble of {runs} runs")
     ordered = sorted(seeds)
     if ordered:

@@ -17,9 +17,8 @@ corresponds to an entropy k_B * I in J/K.
 """
 
 import dataclasses
-import math
 
-from .errors import InvalidQuantityError
+from .errors import require_at_least
 
 #: Boltzmann constant, J/K (exact since the 2019 SI redefinition).
 K_B = 1.380649e-23
@@ -46,21 +45,13 @@ def unit(symbol: str | None):
     return dataclasses.field(metadata={"unit": symbol})
 
 
-def _check_amount(nats: float) -> float:
-    if not math.isfinite(nats):
-        raise InvalidQuantityError(f"information amount must be finite, got {nats!r}")
-    if nats < 0:
-        raise InvalidQuantityError(f"information amount must be >= 0, got {nats!r}")
-    return nats
-
-
 def convert_information(nats: float, target: str) -> float:
     """Convert an information amount given in nats to ``target`` units.
 
     ``target`` is one of ``"nats"``, ``"bits"`` or ``"J/K"``. nats -> bits
     divides by ln 2; nats -> J/K multiplies by k_B.
     """
-    _check_amount(nats)
+    require_at_least(0, nats=nats)
     if target == "nats":
         return nats
     if target == "bits":
@@ -72,11 +63,11 @@ def convert_information(nats: float, target: str) -> float:
 
 def bits_to_nats(bits: float) -> float:
     """Inverse of the nats -> bits conversion."""
-    _check_amount(bits)
+    require_at_least(0, bits=bits)
     return bits * LN2
 
 
 def entropy_si_to_nats(entropy_si: float) -> float:
     """Inverse of the nats -> J/K conversion."""
-    _check_amount(entropy_si)
+    require_at_least(0, entropy_si=entropy_si)
     return entropy_si / K_B

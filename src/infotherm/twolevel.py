@@ -24,14 +24,13 @@ from a hot bath to a cold one, charging the full gas energy to both baths
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_positive
+from .errors import DomainError, require_at_least, require_finite, require_positive
 from .quantities import K_B, unit
 
 
 def _check_counts(length: int, ones: int) -> None:
-    if length < 1:
-        raise DomainError(f"length must be >= 1, got {length}")
-    if not 0 <= ones <= length:
+    require_at_least(1, length=length)
+    if not 0 <= require_finite("ones count", ones) <= length:
         raise DomainError(f"ones count must be in [0, {length}], got {ones}")
 
 
@@ -145,7 +144,8 @@ def gas_temperature(spec: GasSpec) -> GasTemperature:
 
     (bit_energy / k_B) / ln((length-ones)/ones): positive below half filling,
     +inf (flagged by ``infinite``) exactly at half filling, negative with the
-    ``inverted`` flag above half filling.
+    ``inverted`` flag above half filling. Away from half filling, a
+    temperature that overflows double precision raises DomainError.
     """
     length, ones = spec.length, spec.ones
     if ones in (0, length):
@@ -156,6 +156,8 @@ def gas_temperature(spec: GasSpec) -> GasTemperature:
     if ratio_log == 0.0:
         return GasTemperature(kelvin=math.inf, inverted=False)
     kelvin = (spec.bit_energy / K_B) / ratio_log
+    if not math.isfinite(kelvin):
+        raise DomainError(f"the temperature of {ones} excited sites of {length} at {spec.bit_energy} J each overflows")
     return GasTemperature(kelvin=kelvin, inverted=kelvin < 0)
 
 
@@ -166,9 +168,8 @@ def occupation_at(length: int, temperature: float, bit_energy: float) -> float:
     The return value is an ensemble average in (0, length/2] and is not
     rounded; callers needing an integer microstate count round explicitly.
     """
-    if length < 1:
-        raise DomainError(f"length must be >= 1, got {length}")
-    if not temperature > 0:
+    require_at_least(1, length=length)
+    if not (temperature == math.inf or require_finite("temperature", temperature) > 0):
         raise DomainError(f"temperature must be > 0, got {temperature}")
     require_positive(bit_energy=bit_energy)
     x = bit_energy / (K_B * temperature)

@@ -167,6 +167,15 @@ class TestClausiusCheck:
         with pytest.raises(DomainError):
             clausius_check(**kwargs)
 
+    @pytest.mark.parametrize(
+        "heat_terms",
+        [[(1.0,)], [(1.0, 300.0, 5.0)], [(3e-20, 300.0), (1.0,)], [[]], [3e-20], "ab", 5, {(1.0, 300.0)}],
+        ids=["one", "three", "second-of-one", "empty-term", "bare-number", "string", "int", "set"],
+    )
+    def test_a_heat_term_that_is_not_a_pair_is_a_domain_error(self, heat_terms):
+        with pytest.raises(DomainError, match="heat_terms must be a list of"):
+            clausius_check(1.0, heat_terms)
+
     def test_integers_are_stored_as_floats(self):
         ledger = clausius_check(1, [(3, 2)], info_term=0)
         assert [type(v) for v in (ledger.delta_s, ledger.info_term, *ledger.heat_terms[0])] == [float] * 4

@@ -82,6 +82,14 @@ class TestReceiverTemperature:
         far = receiver_temperature(1e15, 0.1, 1000.0)
         assert near.kelvin == pytest.approx(4 * far.kelvin, rel=1e-12)
 
+    @pytest.mark.parametrize("distance,fault", [(1e-200, "underflows to 0"), (1e200, "overflows")])
+    def test_a_squared_distance_out_of_range_is_a_domain_error(self, distance, fault):
+        # Once a ZeroDivisionError and an OverflowError.
+        with pytest.raises(DomainError, match=fault):
+            receiver_temperature(1e10, 1.0, distance)
+        with pytest.raises(DomainError, match=fault):
+            LinkBudget(1.0, 1.0, 1.0).received_bit_energy(distance)
+
 
 class TestEntropyBalance:
     def test_peer_to_peer_increases_nothing(self):
@@ -215,6 +223,15 @@ class TestMaxBroadcastInformation:
         assert max_broadcast_information(bit_rate, 9e8, 5.0, duration * scale).nats == pytest.approx(
             base.nats * scale, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "carrier,radius,fault",
+        [(1.0, 1e200, r"antenna radius of 1e\+200 m overflows"), (1.0, 1e-200, "antenna radius of 1e-200 m underflows"),
+         (1e300, 1.0, "wavelength of .* m underflows"), (1e-200, 1.0, "wavelength of .* m overflows")],
+    )
+    def test_a_squared_length_out_of_range_is_a_domain_error(self, carrier, radius, fault):
+        with pytest.raises(DomainError, match=fault):
+            max_broadcast_information(1.0, carrier, radius, 1.0)
 
     def test_subwavelength_antenna_is_flagged(self):
         bound = max_broadcast_information(1e9, 9e8, 0.01, 1.0)

@@ -493,6 +493,28 @@ class TestExitCodes:
         assert "budget" in err
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gas", "temperature", "--L", "10", "--p", "1", "--epsilon", "1e308"],
+            ["gas", "state", "--L", "10", "--p", "1", "--epsilon", "1e308"],
+            ["gas", "transfer", "--L", "1000", "--p-hot", "100", "--p-cold", "10", "--epsilon", "1e308"],
+            ["broadcast", "range", "--power", "1", "--bit-rate", "1", "--carrier", "1e-200"],
+            ["broadcast", "temperature", "--power", "1", "--bit-rate", "1", "--carrier", "1e-200", "--distance", "1"],
+            ["broadcast", "temperature", "--power", "1", "--bit-rate", "1", "--distance", "1e-200", "--area", "1"],
+            ["broadcast", "capacity", "--bit-rate", "1", "--carrier", "1", "--radius", "1e200"],
+        ],
+        ids=["gas-temperature-overflow", "gas-state-overflow", "gas-transfer-overflow", "range-wavelength-squared",
+             "temperature-wavelength-squared", "temperature-distance-squared", "capacity-radius-squared"],
+    )
+    def test_overflowing_result_exits_one(self, capsys, argv):
+        # Each once printed a wrong verdict, a nan or a traceback.
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_clausius_keys_are_named(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO('{"delta_S": 1e-23, "heat_term": [], "info": 0}'))
         code, out, err = run_cli(capsys, ["clausius"])
@@ -540,6 +562,14 @@ class TestHelp:
             assert flag in out
         if any(f in out for f in ("--noise-temp", "--margin", "--block-k", "--seed", "--duration")):
             assert "default" in out
+
+    @pytest.mark.parametrize("command,flags", LEAF_COMMANDS, ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_each_flag_shows_one_default(self, capsys, monkeypatch, command, flags):
+        monkeypatch.setenv("COLUMNS", "1000")  # one line per flag
+        with pytest.raises(SystemExit):
+            cli.main(command + ["--help"])
+        out = capsys.readouterr().out
+        assert out.count("(default:") == out.count("\n  --") > 0, out
 
     def test_units_appear_in_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,0 +1,136 @@
+"""The shared argument checks in ``errors``, and their reach over the public API.
+
+Every public function's quantity and count arguments go through
+``require_finite``, ``require_positive`` or ``require_at_least``, so None, a
+string, a bool, NaN and +-inf raise DomainError (InvalidQuantityError), never
+a TypeError or a bare ValueError. +inf is left out only where it is a valid
+limit (a hot bath or an occupation temperature), and None only where it
+means "use the default".
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from infotherm import bounds, broadcast, fileinfo, mcsim, quantities, twolevel
+from infotherm.errors import (
+    DomainError,
+    InvalidQuantityError,
+    require_at_least,
+    require_finite,
+    require_positive,
+)
+
+_DATA = b"infotherm" * 4  # 288 bits: enough for 2-bit blocks
+
+#: (name, function, valid keyword arguments, arguments that may be +inf, arguments that may be None)
+_PUBLIC = [
+    ("GasSpec", twolevel.GasSpec, {"length": 10, "ones": 3, "bit_energy": 1e-21}, (), ()),
+    ("multiplicity_ln", twolevel.multiplicity_ln, {"length": 10, "ones": 3}, (), ()),
+    ("entropy_stirling", twolevel.entropy_stirling, {"length": 10, "ones": 3}, (), ()),
+    ("occupation_at", twolevel.occupation_at, {"length": 10, "temperature": 300.0, "bit_energy": 1e-21},
+     ("temperature",), ()),
+    ("transfer_entropy_delta", twolevel.transfer_entropy_delta,
+     {"length": 1000, "p_hot": 200, "p_cold": 100, "bit_energy": 1e-21}, (), ()),
+    ("analyze_counts", fileinfo.analyze_counts, {"data": _DATA, "bit_energy": 1e-21}, (), ()),
+    ("max_information", fileinfo.max_information, {"bit_length": 8}, (), ()),
+    ("file_temperature", fileinfo.file_temperature, {"bit_energy": 1e-21}, (), ()),
+    ("block_entropy", fileinfo.block_entropy, {"data": _DATA, "block_bits": 2}, (), ()),
+    ("effective_temperature", fileinfo.effective_temperature, {"energy": 1e-20, "info_nats": 5.0}, (), ()),
+    ("analyze", fileinfo.analyze, {"data": _DATA, "bit_energy": 1e-21, "block_bits": 2}, (), ()),
+    ("LinkBudget", broadcast.LinkBudget,
+     {"power": 1.0, "bit_rate": 1e6, "receiver_area": 1.0, "carrier_frequency": 1e9, "distance": 10.0,
+      "noise_temperature": 300.0, "snr_margin": 10.0}, (), ("carrier_frequency", "distance")),
+    ("received_bit_energy", lambda distance: broadcast.LinkBudget(1.0, 1e6, 1.0).received_bit_energy(distance),
+     {"distance": 10.0}, (), ()),
+    ("transmitter_temperature", broadcast.transmitter_temperature, {"power": 1.0, "bit_rate": 1e6}, (), ()),
+    ("receiver_temperature", broadcast.receiver_temperature,
+     {"source_kelvin": 1e10, "area": 1.0, "distance": 10.0}, (), ()),
+    ("broadcast_entropy_balance", broadcast.broadcast_entropy_balance, {"info_nats": 5.0, "receivers": 3}, (), ()),
+    ("max_broadcast_information", broadcast.max_broadcast_information,
+     {"bit_rate": 1e6, "carrier_frequency": 1e9, "antenna_radius": 1.0, "duration": 1.0}, (), ()),
+    ("equivalent_bit_energy", broadcast.equivalent_bit_energy, {"power": 1.0, "bit_rate": 1e6}, (), ()),
+    ("equivalent_power", broadcast.equivalent_power, {"bit_energy": 1e-21, "bit_rate": 1e6}, (), ()),
+    ("carnot_efficiency", bounds.carnot_efficiency, {"t_hot": 600.0, "t_cold": 300.0}, ("t_hot",), ()),
+    ("clausius_check", bounds.clausius_check, {"delta_s": 1e-22, "info_term": 0.0, "tolerance": 1e-30},
+     (), ("tolerance",)),
+    ("clausius_check heat term", lambda heat, temperature: bounds.clausius_check(1e-22, [(heat, temperature)]),
+     {"heat": 3e-20, "temperature": 300.0}, (), ()),
+    ("max_computing_rate", bounds.max_computing_rate, {"power": 1.0, "noise_temperature": 300.0, "margin": 10.0},
+     (), ()),
+    ("convert_information", lambda nats: quantities.convert_information(nats, "bits"), {"nats": 1.0}, (), ()),
+    ("bits_to_nats", quantities.bits_to_nats, {"bits": 1.0}, (), ()),
+    ("entropy_si_to_nats", quantities.entropy_si_to_nats, {"entropy_si": 1e-23}, (), ()),
+    ("sample_equilibrium", mcsim.sample_equilibrium, {"length": 10, "ones": 3, "seed": 1}, (), ()),
+    ("sample_canonical", mcsim.sample_canonical,
+     {"length": 10, "temperature": 300.0, "bit_energy": 1e-21, "seed": 1}, ("temperature",), ()),
+    ("simulate_transfer", mcsim.simulate_transfer,
+     {"length": 10, "t_hot": 2000.0, "t_cold": 500.0, "bit_energy": 1e-20, "steps": 100, "seed": 1},
+     ("t_hot",), ()),
+    ("run_ensemble", lambda **kw: mcsim.run_ensemble(seeds=[1], **kw),
+     {"length": 10, "t_hot": 2000.0, "t_cold": 500.0, "bit_energy": 1e-20, "steps": 100}, ("t_hot",), ()),
+]
+
+#: (function id, argument) for every checked argument: all but the byte strings.
+_ARGUMENTS = [(name, arg) for name, _, valid, _, _ in _PUBLIC for arg in valid if arg != "data"]
+_BY_NAME = {name: (function, valid, infinite_ok, none_ok) for name, function, valid, infinite_ok, none_ok in _PUBLIC}
+
+#: Values that are never a finite real number.
+_NOT_NUMBERS = st.one_of(
+    st.none(),
+    st.text(max_size=8),
+    st.booleans(),
+    st.just(math.nan),
+    st.sampled_from([math.inf, -math.inf]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(_BY_NAME))
+def test_the_valid_arguments_are_accepted(name):
+    function, valid, _, _ = _BY_NAME[name]
+    function(**valid)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=st.sampled_from(_ARGUMENTS), bad=_NOT_NUMBERS)
+def test_a_non_number_raises_domain_error(case, bad):
+    name, arg = case
+    function, valid, infinite_ok, none_ok = _BY_NAME[name]
+    if (bad == math.inf and arg in infinite_ok) or (bad is None and arg in none_ok):
+        return
+    with pytest.raises(DomainError):
+        function(**{**valid, arg: bad})
+
+
+class TestCheckers:
+    @pytest.mark.parametrize("value", [0, -1.5, 1e308, 5e-324, 2**64])
+    def test_require_finite_returns_a_finite_number_unchanged(self, value):
+        assert require_finite("x", value) is value
+
+    @pytest.mark.parametrize("value", [None, "1.0", True, False, math.nan, math.inf, -math.inf, 10**400, [1.0], 1j])
+    def test_require_finite_refuses_everything_else(self, value):
+        with pytest.raises(InvalidQuantityError, match="^speed must be a finite number"):
+            require_finite("speed", value)
+
+    def test_require_positive_names_the_first_bad_value(self):
+        require_positive(a=5e-324, b=1e308)
+        with pytest.raises(InvalidQuantityError, match=r"^b must be finite and > 0, got 0.0$"):
+            require_positive(a=1.0, b=0.0, c=-1.0)
+        with pytest.raises(InvalidQuantityError, match="^a must be a finite number"):
+            require_positive(a=math.inf)
+
+    def test_require_at_least_includes_its_bound(self):
+        require_at_least(1, length=1, ones=2**63)
+        require_at_least(0, info=0.0)
+        with pytest.raises(InvalidQuantityError, match=r"^length must be finite and >= 1, got 0$"):
+            require_at_least(1, length=0)
+        with pytest.raises(InvalidQuantityError, match="^info must be a finite number"):
+            require_at_least(0, info=math.inf)
+        with pytest.raises(InvalidQuantityError):
+            require_at_least(0, info=-5e-324)
+
+    def test_an_invalid_quantity_is_a_domain_error_and_a_value_error(self):
+        assert issubclass(InvalidQuantityError, DomainError)
+        assert issubclass(DomainError, ValueError)

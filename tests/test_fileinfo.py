@@ -266,6 +266,12 @@ class TestEffectiveTemperature:
         with pytest.raises(DomainError):
             fileinfo.effective_temperature(1.0, -1.0)
 
+    @pytest.mark.parametrize("energy,info", [(math.inf, math.inf), (math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_arguments_rejected(self, energy, info):
+        # inf / inf once returned nan.
+        with pytest.raises(DomainError):
+            fileinfo.effective_temperature(energy, info)
+
     def test_nan_arguments_rejected(self):
         with pytest.raises(DomainError):
             fileinfo.effective_temperature(math.nan, 1.0)

@@ -381,7 +381,7 @@ class TestRelaxationKernel:
 
 #: The site probability at 2 T_HALF and the acceptance probability at T_HALF,
 #: as ``simulate_transfer`` computes them.
-PROB_HOT = mcsim._site_probability(2 * T_HALF, BIT_ENERGY)
+PROB_HOT = twolevel.occupation_at(1, 2 * T_HALF, BIT_ENERGY)
 ACCEPT = math.exp(-BIT_ENERGY / (BOLTZMANN * T_HALF))
 #: Seeds of the pinned runs, the largest seed and one from the ledger tests.
 KNOWN_SEEDS = [0, 1, 2, 3, 4, 5, 77, 123, 2**64 - 1]

@@ -144,6 +144,16 @@ class TestGasTemperature:
         with pytest.raises(DomainError):
             gas_temperature(GasSpec(10, ones, 1e-20))
 
+    @pytest.mark.parametrize("ones", [1, 9])
+    def test_an_overflowing_temperature_is_a_domain_error(self, ones):
+        # 1e308 J / k_B is about 7e330 K: no double holds it, and it is not half filling.
+        with pytest.raises(DomainError, match="overflows"):
+            gas_temperature(GasSpec(10, ones, 1e308))
+
+    def test_half_filling_stays_infinite_at_any_bit_energy(self):
+        temp = gas_temperature(GasSpec(10, 5, 1e308))
+        assert temp.infinite and not temp.inverted
+
 
 class TestOccupation:
     def test_deep_cold_limit_is_empty(self):
