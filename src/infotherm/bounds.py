@@ -16,7 +16,7 @@ macroscopic entropies alike.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_at_least, require_finite, require_positive
+from .errors import DomainError, require_above, require_at_least, require_finite, require_positive, require_result
 from .quantities import K_B, LN2, unit
 
 VERDICT_SATISFIED = "satisfied"
@@ -46,10 +46,7 @@ class EntropyLedger:
 def carnot_efficiency(t_hot: float, t_cold: float) -> float:
     """Maximum work fraction extractable between two baths: 1 - T_cold/T_hot."""
     require_positive(t_cold=t_cold)
-    if not (t_hot == math.inf or require_finite("t_hot", t_hot) > t_cold):
-        raise DomainError(
-            f"no extractable work: t_hot ({t_hot}) must exceed t_cold ({t_cold})"
-        )
+    require_above(t_cold, t_hot=t_hot)
     return 1.0 - t_cold / t_hot
 
 
@@ -59,7 +56,7 @@ def _finite_sum(values, name: str) -> float:
         total = math.fsum(values)
     except (OverflowError, ValueError):  # intermediate overflow, or inf + -inf
         total = math.nan
-    return require_finite(name, total)
+    return require_result(name, total)
 
 
 def clausius_check(
@@ -89,7 +86,7 @@ def clausius_check(
 
     heat_over_t = _finite_sum((heat / temp for heat, temp in terms), "the sum of the heat terms dQ/T")
     info_si = K_B * info_term
-    slack = require_finite("the slack", delta_s - heat_over_t - info_si)
+    slack = require_result("the slack", delta_s - heat_over_t - info_si)
     if tolerance is None:
         scale = max(abs(delta_s), _finite_sum((abs(h) / t for h, t in terms), "the sum of |dQ/T|"), info_si)
         tolerance = _RELATIVE_TOLERANCE * scale
@@ -123,9 +120,5 @@ def max_computing_rate(power: float, noise_temperature: float, margin: float = 1
     require_positive(power=power, noise_temperature=noise_temperature)
     require_at_least(1, margin=margin)
     rate = power / (margin * K_B * LN2 * noise_temperature)
-    if not (rate > 0 and math.isfinite(rate)):
-        raise DomainError(
-            f"the computing rate of {power} W at a noise temperature of {noise_temperature} K "
-            f"and a margin of {margin} {'overflows' if rate else 'underflows to 0'}"
-        )
-    return rate
+    what = f"the computing rate of {power} W at a noise temperature of {noise_temperature} K and a margin of {margin}"
+    return require_result(what, rate, zero_underflows=True)

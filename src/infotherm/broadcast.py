@@ -14,9 +14,9 @@ just both available.
 
 Bit rate and carrier frequency are separate parameters: the wavelength comes
 from the carrier, the per-bit energy from the bit rate. They often coincide
-numerically, so the carrier defaults to the bit rate. A squared length (a
-distance, an antenna radius or a wavelength) that overflows double precision
-or underflows to 0 raises DomainError.
+numerically, so the carrier defaults to the bit rate. A result that
+overflows double precision raises DomainError, as does a squared length (a
+distance, an antenna radius or a wavelength) that underflows to 0.
 
 Relation to the per-bit picture: for a random file only half the slots carry
 an excited bit, so average power P corresponds to a one-bit energy of 2P/f
@@ -28,7 +28,7 @@ with bit energy 2P/f.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_at_least, require_positive
+from .errors import DomainError, require_at_least, require_count, require_positive, require_result
 from .quantities import C_LIGHT, K_B, LN2, unit
 
 #: Detection criteria accepted by :func:`max_range`.
@@ -41,50 +41,41 @@ def _squared(length: float, name: str) -> float:
         square = length**2
     except OverflowError:
         square = math.inf
-    if not 0 < square < math.inf:
-        raise DomainError(f"the square of the {name} of {length} m {'overflows' if square else 'underflows to 0'}")
-    return square
+    return require_result(f"the square of the {name} of {length} m", square, zero_underflows=True)
 
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """One broadcast scenario.
-
-    ``carrier_frequency`` defaults to ``bit_rate``; ``distance`` is optional
-    and only needed for point evaluations at a fixed range.
-    """
+    """One broadcast scenario; ``carrier_frequency`` defaults to ``bit_rate``."""
 
     power: float
     bit_rate: float
     receiver_area: float
     carrier_frequency: float | None = None
-    distance: float | None = None
     noise_temperature: float = 300.0
     snr_margin: float = 10.0
 
     def __post_init__(self):
+        if self.carrier_frequency is None:
+            object.__setattr__(self, "carrier_frequency", self.bit_rate)
         require_positive(
             power=self.power,
             bit_rate=self.bit_rate,
             receiver_area=self.receiver_area,
+            carrier_frequency=self.carrier_frequency,
             noise_temperature=self.noise_temperature,
             snr_margin=self.snr_margin,
         )
-        if self.carrier_frequency is None:
-            object.__setattr__(self, "carrier_frequency", self.bit_rate)
-        else:
-            require_positive(carrier_frequency=self.carrier_frequency)
-        if self.distance is not None:
-            require_positive(distance=self.distance)
 
     @property
     def wavelength(self) -> float:
-        return C_LIGHT / self.carrier_frequency
+        return require_result(f"the {self.carrier_frequency} Hz wavelength", C_LIGHT / self.carrier_frequency)
 
     def received_bit_energy(self, distance: float) -> float:
         """Per-bit energy at a receiver of this budget's area at ``distance``."""
         require_positive(distance=distance)
-        return (self.power / self.bit_rate) * self.receiver_area / (4.0 * math.pi * _squared(distance, "distance"))
+        energy = (self.power / self.bit_rate) * self.receiver_area / (4.0 * math.pi * _squared(distance, "distance"))
+        return require_result(f"the bit energy received at {distance} m", energy)
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,7 @@ class BroadcastInformation:
 def transmitter_temperature(power: float, bit_rate: float) -> float:
     """Source temperature in power/rate units: P / (k_B f ln 2)."""
     require_positive(power=power, bit_rate=bit_rate)
-    return power / (K_B * bit_rate * LN2)
+    return require_result(f"the temperature of {power} W at {bit_rate} bit/s", power / (K_B * bit_rate * LN2))
 
 
 def receiver_temperature(source_kelvin: float, area: float, distance: float) -> ReceiverTemperature:
@@ -138,7 +129,8 @@ def receiver_temperature(source_kelvin: float, area: float, distance: float) -> 
     """
     require_positive(source_kelvin=source_kelvin, area=area, distance=distance)
     factor = area / (4.0 * math.pi * _squared(distance, "distance"))
-    return ReceiverTemperature(kelvin=source_kelvin * factor, geometric_factor=factor)
+    kelvin = require_result(f"the temperature received at {distance} m", source_kelvin * factor)
+    return ReceiverTemperature(kelvin=kelvin, geometric_factor=factor)
 
 
 def broadcast_entropy_balance(info_nats: float, receivers: int) -> BroadcastBalance:
@@ -147,13 +139,11 @@ def broadcast_entropy_balance(info_nats: float, receivers: int) -> BroadcastBala
     Peer-to-peer (N = 1) increases nothing; every additional receiver adds a
     full copy of the file's information to the books.
     """
-    require_at_least(1, receivers=receivers)
+    require_count(1, receivers=receivers)
     require_at_least(0, information=info_nats)
-    return BroadcastBalance(
-        info_per_file=info_nats,
-        receivers=receivers,
-        entropy_increase=(receivers - 1) * K_B * info_nats,
-    )
+    increase = require_result(f"the entropy increase of {info_nats} nats sent to {receivers} receivers",
+                              (receivers - 1) * K_B * info_nats)
+    return BroadcastBalance(info_per_file=info_nats, receivers=receivers, entropy_increase=increase)
 
 
 def max_range(budget: LinkBudget, criterion: str = "bit-energy") -> float:
@@ -172,7 +162,7 @@ def max_range(budget: LinkBudget, criterion: str = "bit-energy") -> float:
     r_squared = (budget.power / budget.bit_rate) * budget.receiver_area / (4.0 * math.pi * noise_floor)
     if criterion == "file-temperature":
         r_squared /= 2.0 * LN2
-    return math.sqrt(r_squared)
+    return require_result(f"the range of {budget.power} W at {budget.bit_rate} bit/s", math.sqrt(r_squared))
 
 
 def max_broadcast_information(
@@ -194,7 +184,7 @@ def max_broadcast_information(
     )
     wavelength = C_LIGHT / carrier_frequency
     patches = 4.0 * math.pi * _squared(antenna_radius, "antenna radius") / _squared(wavelength, "wavelength")
-    bits = bit_rate * patches * duration
+    bits = require_result(f"the information of a {antenna_radius} m antenna", bit_rate * patches * duration)
     return BroadcastInformation(
         nats=LN2 * bits, bits=bits, wavelength=wavelength, radius=antenna_radius
     )
@@ -203,10 +193,10 @@ def max_broadcast_information(
 def equivalent_bit_energy(power: float, bit_rate: float) -> float:
     """One-bit energy matching average power for a random file: 2 P / f."""
     require_positive(power=power, bit_rate=bit_rate)
-    return 2.0 * power / bit_rate
+    return require_result(f"the bit energy of {power} W at {bit_rate} bit/s", 2.0 * power / bit_rate)
 
 
 def equivalent_power(bit_energy: float, bit_rate: float) -> float:
     """Average power of a random file with the given one-bit energy: f e / 2."""
     require_positive(bit_energy=bit_energy, bit_rate=bit_rate)
-    return bit_rate * bit_energy / 2.0
+    return require_result(f"the power of {bit_energy} J bits at {bit_rate} bit/s", bit_rate * bit_energy / 2.0)

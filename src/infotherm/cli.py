@@ -39,7 +39,7 @@ import os
 import sys
 
 from . import bounds, broadcast, fileinfo, twolevel
-from .errors import DomainError, require_at_least, require_positive, require_within_budget
+from .errors import DomainError, require_count, require_positive, require_result, require_within_budget
 from .quantities import K_B, LN2, convert_information
 
 FORMAT_ENV_VAR = "INFOTHERM_FORMAT"
@@ -394,7 +394,7 @@ def _broadcast_balance(args, env: Envelope) -> None:
     env.add_input("info", info, "nats")
     balance = broadcast.broadcast_entropy_balance(info, args.receivers)
     env.add_results(balance)
-    env.add("information_increase", balance.entropy_increase / K_B, "nats")
+    env.add("information_increase", require_result("the information increase", balance.entropy_increase / K_B), "nats")
 
 
 @_command("broadcast capacity", "area-law maximum broadcast information",
@@ -552,7 +552,7 @@ _SWEEP_POINT_BYTES = 2048
 
 
 def _sweep_values(args) -> list[float]:
-    require_at_least(1, count=args.count)
+    require_count(1, count=args.count)
     require_within_budget(args.count * _SWEEP_POINT_BYTES, f"a sweep of {args.count} points")
     if args.count == 1:
         return [args.start]

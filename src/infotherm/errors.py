@@ -4,15 +4,17 @@ All argument-validation failures derive from DomainError so callers (and the
 CLI) can map them to a single exit path. The more specific subclasses exist
 where the failure mode is worth distinguishing programmatically.
 
-The domain of a single argument (a count >= 1, an energy > 0, an amount of
-information >= 0) is checked only here, by ``require_finite``,
-``require_positive`` and ``require_at_least``. They raise
-InvalidQuantityError for None, a string, a bool, NaN, +-inf, an integer
-beyond the float range, or a value past its bound. Relations between
-arguments, and results that overflow, are checked where they arise.
+The domain of a single argument is checked only here and raises
+InvalidQuantityError: a quantity (an energy > 0, information >= 0) by
+``require_finite``, ``require_positive`` or ``require_at_least``, a count,
+which must be an integer, by ``require_count``, and a bath temperature, which
+may be +inf, by ``require_above``. ``require_result`` raises DomainError for
+a result that overflows double precision.
 """
 
 import math
+import operator
+import sys
 
 #: Most memory, in bytes, that one simulation, ensemble or sweep may ask for.
 #: Each request is checked against it before anything is allocated.
@@ -66,6 +68,37 @@ def require_at_least(minimum: float, **values: float) -> None:
     for name, value in values.items():
         if not require_finite(name, value) >= minimum:
             raise InvalidQuantityError(f"{name} must be finite and >= {minimum}, got {value}")
+
+
+def require_count(minimum: int, maximum: float = sys.float_info.max, **values) -> None:
+    """Raise InvalidQuantityError naming the first value that is not an integer in [minimum, maximum].
+
+    numpy integers count; a bool, a float (3.0 too) and None do not. The
+    default maximum is the float range: every count meets float arithmetic.
+    """
+    for name, value in values.items():
+        try:  # NaN, which fails the range test, stands for a value that is no integer
+            count = value if type(value) is int else math.nan if type(value) is bool else operator.index(value)
+        except TypeError:
+            count = math.nan
+        if not minimum <= count <= maximum:
+            raise InvalidQuantityError(f"{name} must be an integer in [{minimum}, {maximum}], got {value!r}")
+
+
+def require_above(bound: float, **temperatures: float) -> None:
+    """Raise InvalidQuantityError naming the first temperature that is neither +inf nor finite and > ``bound``."""
+    for name, value in temperatures.items():
+        if not (value == math.inf or require_finite(name, value) > bound):
+            raise InvalidQuantityError(f"{name} must be +inf or finite and > {bound}, got {value}")
+
+
+def require_result(what: str, value: float, *, zero_underflows: bool = False) -> float:
+    """``value`` unchanged, or DomainError when ``what`` overflows (or, if ``zero_underflows``, is 0)."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} overflows")
+    if zero_underflows and not value:
+        raise DomainError(f"{what} underflows to 0")
+    return value
 
 
 def require_within_budget(nbytes: int, request: str) -> None:

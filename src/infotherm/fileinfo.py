@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 from . import lz
-from .errors import DomainError, EmptyFileError, SampleSizeError, UndefinedTemperatureError
-from .errors import require_at_least, require_finite, require_positive
+from .errors import EmptyFileError, SampleSizeError, UndefinedTemperatureError
+from .errors import require_at_least, require_count, require_positive, require_result
 from .quantities import K_B, LN2, unit
 
 #: Block size used for the block-entropy field of a standard report.
@@ -65,26 +65,20 @@ def _require_data(data: bytes) -> None:
         raise EmptyFileError("cannot analyze an empty byte sequence")
 
 
-def _check_block_bits(block_bits: int) -> None:
-    if not 1 <= require_finite("block size", block_bits) <= 24:
-        raise DomainError(f"block size must be in [1, 24] bits, got {block_bits}")
-
-
 def analyze_counts(data: bytes, bit_energy: float) -> tuple[int, int, float]:
     """(bit length, ones count, energy in J) of a byte sequence."""
     _require_data(data)
     require_positive(bit_energy=bit_energy)
     bit_length = 8 * len(data)
     ones = int.from_bytes(data, "big").bit_count()
-    energy = ones * bit_energy
-    if not math.isfinite(energy):
-        raise DomainError(f"energy of {ones} one bits at {bit_energy} J each overflows")
+    energy = require_result(f"energy of {ones} one bits at {bit_energy} J each", ones * bit_energy)
     return bit_length, ones, energy
 
 
 def max_information(bit_length: int) -> float:
     """Largest information a file of bit_length bits can carry: L ln 2 nats."""
-    if not require_finite("bit_length", bit_length) >= 1:
+    require_count(0, bit_length=bit_length)
+    if bit_length == 0:
         raise EmptyFileError(f"a file of {bit_length} bits holds no information")
     return bit_length * LN2
 
@@ -129,7 +123,7 @@ def block_entropy(data: bytes, block_bits: int) -> float:
     words and one reused 8-byte code buffer) plus 8 bytes per state.
     """
     _require_data(data)
-    _check_block_bits(block_bits)
+    require_count(1, 24, block_bits=block_bits)
     bit_length = 8 * len(data)
     needed = _MIN_SAMPLES_PER_STATE * (1 << block_bits)
     if bit_length < needed:
@@ -191,7 +185,7 @@ def analyze(data: bytes, bit_energy: float, block_bits: int = DEFAULT_BLOCK_BITS
     is used. The effective temperature uses the compression estimate, the
     tightest of the three information estimates for correlated files.
     """
-    _check_block_bits(block_bits)
+    require_count(1, 24, block_bits=block_bits)
     bit_length, ones, energy = analyze_counts(data, bit_energy)
     info_max = max_information(bit_length)
     info_order0 = _binary_entropy(ones, bit_length) * bit_length

@@ -74,10 +74,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidDistributionError, require_at_least, require_finite, require_positive
-from .errors import require_within_budget
+from .errors import DomainError, InvalidDistributionError, require_above, require_count, require_finite
+from .errors import require_positive, require_within_budget
 from .quantities import K_B, unit
-from .twolevel import _check_counts, multiplicity_ln, occupation_at, transfer_entropy_delta
+from .twolevel import multiplicity_ln, occupation_at, transfer_entropy_delta
 
 _PROB_SUM_TOLERANCE = 1e-12
 
@@ -129,7 +129,7 @@ class ConfigDistribution:
         object.__setattr__(self, "support", tuple(self.support))
         seen = set()
         for config, prob in self.support:
-            if prob < 0:
+            if require_finite("probability", prob) < 0:
                 raise InvalidDistributionError(f"negative probability {prob}")
             if config.bits in seen:
                 raise InvalidDistributionError("support configurations must be distinct")
@@ -170,11 +170,6 @@ class SimLedger:
     total_entropy_change: float = unit("J/K")
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= require_finite("seed", seed) < 2**64:
-        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
-
-
 def sample_equilibrium(length: int, ones: int, seed: int) -> Configuration:
     """Uniform draw over all C(length, ones) microstates.
 
@@ -182,8 +177,9 @@ def sample_equilibrium(length: int, ones: int, seed: int) -> Configuration:
     a string with the required ones count, so every arrangement is equally
     likely and the result is fixed by the seed.
     """
-    _check_counts(length, ones)
-    _check_seed(seed)
+    require_count(1, length=length)
+    require_count(0, length, ones=ones)
+    require_count(0, 2**64 - 1, seed=seed)
     arr = np.zeros(length, dtype=np.uint8)
     arr[:ones] = 1
     np.random.default_rng(seed).shuffle(arr)
@@ -196,9 +192,9 @@ def sample_canonical(length: int, temperature: float, bit_energy: float, seed: i
     Each site is excited with probability 1 / (1 + exp(bit_energy / k_B T)),
     so the mean ones count matches the equilibrium occupation law.
     """
-    require_at_least(1, length=length)
+    require_count(1, length=length)
     prob = occupation_at(1, temperature, bit_energy)
-    _check_seed(seed)
+    require_count(0, 2**64 - 1, seed=seed)
     draws = np.random.default_rng(seed).random(length)
     return Configuration((draws < prob).astype(np.uint8).tobytes())
 
@@ -319,12 +315,11 @@ def simulate_transfer(
     exceeds ``errors.MEMORY_BUDGET`` raises DomainError before anything is
     allocated.
     """
-    require_at_least(1, length=length)
-    require_at_least(0, steps=steps)
+    require_count(1, length=length)
+    require_count(0, steps=steps)
     require_positive(t_cold=t_cold)
-    if not (t_hot == math.inf or require_finite("t_hot", t_hot) > t_cold):
-        raise DomainError(f"need t_hot > t_cold > 0, got t_hot={t_hot}, t_cold={t_cold}")
-    _check_seed(seed)
+    require_above(t_cold, t_hot=t_hot)
+    require_count(0, 2**64 - 1, seed=seed)
 
     prob_hot = occupation_at(1, t_hot, bit_energy)
     require_within_budget(_relax_bytes(length, steps), f"a run of L={length} with {steps} steps")
@@ -384,16 +379,14 @@ def run_ensemble(
         runs = len(seeds)
     except OverflowError:  # a range longer than sys.maxsize
         raise DomainError(f"an ensemble of more than {sys.maxsize} runs is over the memory budget") from None
-    require_at_least(1, length=length)
-    require_at_least(0, steps=steps)
+    require_count(1, length=length)
+    require_count(0, steps=steps)
     require_within_budget(runs * _RUN_BYTES + _relax_bytes(length, steps), f"an ensemble of {runs} runs")
-    ordered = sorted(seeds)
-    if ordered:
-        _check_seed(ordered[0])
-        _check_seed(ordered[-1])
+    for seed in seeds:
+        require_count(0, 2**64 - 1, seed=seed)
     return [
         simulate_transfer(length, t_hot, t_cold, bit_energy, steps, seed)
-        for seed in ordered
+        for seed in sorted(seeds)
     ]
 
 

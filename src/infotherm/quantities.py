@@ -18,7 +18,7 @@ corresponds to an entropy k_B * I in J/K.
 
 import dataclasses
 
-from .errors import require_at_least
+from .errors import DomainError, require_at_least
 
 #: Boltzmann constant, J/K (exact since the 2019 SI redefinition).
 K_B = 1.380649e-23
@@ -58,7 +58,7 @@ def convert_information(nats: float, target: str) -> float:
         return nats / LN2
     if target == "J/K":
         return nats * K_B
-    raise ValueError(f"unknown information unit {target!r}; expected one of {INFORMATION_UNITS}")
+    raise DomainError(f"unknown information unit {target!r}; expected one of {INFORMATION_UNITS}")
 
 
 def bits_to_nats(bits: float) -> float:

@@ -24,14 +24,8 @@ from a hot bath to a cold one, charging the full gas energy to both baths
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_at_least, require_finite, require_positive
+from .errors import DomainError, require_above, require_count, require_positive, require_result
 from .quantities import K_B, unit
-
-
-def _check_counts(length: int, ones: int) -> None:
-    require_at_least(1, length=length)
-    if not 0 <= require_finite("ones count", ones) <= length:
-        raise DomainError(f"ones count must be in [0, {length}], got {ones}")
 
 
 @dataclass(frozen=True)
@@ -43,13 +37,14 @@ class GasSpec:
     bit_energy: float
 
     def __post_init__(self):
-        _check_counts(self.length, self.ones)
+        require_count(1, length=self.length)
+        require_count(0, self.length, ones=self.ones)
         require_positive(bit_energy=self.bit_energy)
 
     @property
     def energy(self) -> float:
         """Total gas energy in joules."""
-        return self.ones * self.bit_energy
+        return require_result(f"the energy of {self.ones} sites at {self.bit_energy} J", self.ones * self.bit_energy)
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,8 @@ def multiplicity_ln(length: int, ones: int) -> float:
     ones <-> length - ones by construction (the two subtracted terms are
     evaluated in sorted order).
     """
-    _check_counts(length, ones)
+    require_count(1, length=length)
+    require_count(0, length, ones=ones)
     lo = min(ones, length - ones)
     hi = length - lo
     return math.lgamma(length + 1) - math.lgamma(lo + 1) - math.lgamma(hi + 1)
@@ -129,7 +125,8 @@ def entropy_stirling(length: int, ones: int) -> float:
     Only defined on the open interval 0 < ones < length; use
     :func:`multiplicity_ln` for the exact value at the endpoints.
     """
-    _check_counts(length, ones)
+    require_count(1, length=length)
+    require_count(0, length, ones=ones)
     if ones in (0, length):
         raise DomainError(
             "Stirling form is undefined at ones in {0, length}; "
@@ -155,9 +152,8 @@ def gas_temperature(spec: GasSpec) -> GasTemperature:
     ratio_log = math.log((length - ones) / ones)
     if ratio_log == 0.0:
         return GasTemperature(kelvin=math.inf, inverted=False)
-    kelvin = (spec.bit_energy / K_B) / ratio_log
-    if not math.isfinite(kelvin):
-        raise DomainError(f"the temperature of {ones} excited sites of {length} at {spec.bit_energy} J each overflows")
+    kelvin = require_result(f"the temperature of {ones} excited sites of {length} at {spec.bit_energy} J each",
+                            (spec.bit_energy / K_B) / ratio_log)
     return GasTemperature(kelvin=kelvin, inverted=kelvin < 0)
 
 
@@ -168,9 +164,8 @@ def occupation_at(length: int, temperature: float, bit_energy: float) -> float:
     The return value is an ensemble average in (0, length/2] and is not
     rounded; callers needing an integer microstate count round explicitly.
     """
-    require_at_least(1, length=length)
-    if not (temperature == math.inf or require_finite("temperature", temperature) > 0):
-        raise DomainError(f"temperature must be > 0, got {temperature}")
+    require_count(1, length=length)
+    require_above(0, temperature=temperature)
     require_positive(bit_energy=bit_energy)
     x = bit_energy / (K_B * temperature)
     # exp(-x) never overflows for x > 0; underflow to 0 is the correct limit.

@@ -251,7 +251,7 @@ class TestLinkBudget:
             {"power": 0.0, "bit_rate": 1.0, "receiver_area": 1.0},
             {"power": 1.0, "bit_rate": -1.0, "receiver_area": 1.0},
             {"power": 1.0, "bit_rate": 1.0, "receiver_area": 1.0, "noise_temperature": 0.0},
-            {"power": 1.0, "bit_rate": 1.0, "receiver_area": 1.0, "distance": -2.0},
+            {"power": 1.0, "bit_rate": 1.0, "receiver_area": 1.0, "carrier_frequency": -2.0},
             {"power": 1.0, "bit_rate": 1.0, "receiver_area": math.inf},
         ],
     )
@@ -262,3 +262,25 @@ class TestLinkBudget:
     def test_bit_energy_power_equivalence_round_trip(self):
         assert equivalent_power(equivalent_bit_energy(50.0, 9e8), 9e8) == pytest.approx(50.0, rel=1e-15)
         assert equivalent_bit_energy(50.0, 9e8) == pytest.approx(2 * 50.0 / 9e8, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: max_range(LinkBudget(power=1.0, bit_rate=1e9, carrier_frequency=1e9, receiver_area=1e300)),
+        lambda: broadcast_entropy_balance(1e300, 10**300),
+        lambda: transmitter_temperature(1e308, 1e-300),
+        lambda: equivalent_bit_energy(1e308, 1e-300),
+        lambda: equivalent_power(1e308, 1e300),
+        lambda: receiver_temperature(1e300, 1e300, 1e-100),
+        lambda: max_broadcast_information(1e300, 1.0, 1.0, 1e300),
+        lambda: LinkBudget(1.0, 1.0, 1.0, carrier_frequency=5e-324).wavelength,
+        lambda: LinkBudget(1e308, 1e-300, 1.0).received_bit_energy(1.0),
+    ],
+    ids=["max-range", "entropy-balance", "transmitter-temperature", "equivalent-bit-energy", "equivalent-power",
+         "receiver-temperature", "max-broadcast-information", "wavelength", "received-bit-energy"],
+)
+def test_an_overflowing_result_is_a_domain_error(compute):
+    # Each once returned inf.
+    with pytest.raises(DomainError, match="overflows$"):
+        compute()

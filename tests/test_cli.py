@@ -503,9 +503,15 @@ class TestExitCodes:
             ["broadcast", "temperature", "--power", "1", "--bit-rate", "1", "--carrier", "1e-200", "--distance", "1"],
             ["broadcast", "temperature", "--power", "1", "--bit-rate", "1", "--distance", "1e-200", "--area", "1"],
             ["broadcast", "capacity", "--bit-rate", "1", "--carrier", "1", "--radius", "1e200"],
+            ["broadcast", "range", "--power", "1", "--bit-rate", "1e9", "--carrier", "1e9", "--area", "1e300"],
+            ["broadcast", "balance", "--info-bits", "1e308", "--receivers", "1e10"],
+            ["broadcast", "temperature", "--power", "1e308", "--bit-rate", "1e-300"],
+            ["gas", "state", "--L", "10", "--p", "5", "--epsilon", "1e308"],
         ],
         ids=["gas-temperature-overflow", "gas-state-overflow", "gas-transfer-overflow", "range-wavelength-squared",
-             "temperature-wavelength-squared", "temperature-distance-squared", "capacity-radius-squared"],
+             "temperature-wavelength-squared", "temperature-distance-squared", "capacity-radius-squared",
+             "range-overflow", "balance-information-overflow", "transmitter-temperature-overflow",
+             "gas-state-energy-overflow"],
     )
     def test_overflowing_result_exits_one(self, capsys, argv):
         # Each once printed a wrong verdict, a nan or a traceback.

@@ -1,15 +1,16 @@
-"""The shared argument checks in ``errors``, and their reach over the public API.
+"""The shared checks in ``errors``, and their reach over the public API.
 
-Every public function's quantity and count arguments go through
-``require_finite``, ``require_positive`` or ``require_at_least``, so None, a
-string, a bool, NaN and +-inf raise DomainError (InvalidQuantityError), never
-a TypeError or a bare ValueError. +inf is left out only where it is a valid
-limit (a hot bath or an occupation temperature), and None only where it
-means "use the default".
+Every public function's quantity and count arguments go through the checkers
+in ``errors``, so None, a string, a bool, NaN and +-inf raise DomainError
+(InvalidQuantityError), never a TypeError or a bare ValueError, and so does a
+count that is no integer (2.5, 3.0, numpy's 3.0). +inf is left out only where
+it is a valid limit (a hot bath or an occupation temperature), and None only
+where it means "use the default".
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +19,12 @@ from infotherm import bounds, broadcast, fileinfo, mcsim, quantities, twolevel
 from infotherm.errors import (
     DomainError,
     InvalidQuantityError,
+    require_above,
     require_at_least,
+    require_count,
     require_finite,
     require_positive,
+    require_result,
 )
 
 _DATA = b"infotherm" * 4  # 288 bits: enough for 2-bit blocks
@@ -41,8 +45,8 @@ _PUBLIC = [
     ("effective_temperature", fileinfo.effective_temperature, {"energy": 1e-20, "info_nats": 5.0}, (), ()),
     ("analyze", fileinfo.analyze, {"data": _DATA, "bit_energy": 1e-21, "block_bits": 2}, (), ()),
     ("LinkBudget", broadcast.LinkBudget,
-     {"power": 1.0, "bit_rate": 1e6, "receiver_area": 1.0, "carrier_frequency": 1e9, "distance": 10.0,
-      "noise_temperature": 300.0, "snr_margin": 10.0}, (), ("carrier_frequency", "distance")),
+     {"power": 1.0, "bit_rate": 1e6, "receiver_area": 1.0, "carrier_frequency": 1e9,
+      "noise_temperature": 300.0, "snr_margin": 10.0}, (), ("carrier_frequency",)),
     ("received_bit_energy", lambda distance: broadcast.LinkBudget(1.0, 1e6, 1.0).received_bit_energy(distance),
      {"distance": 10.0}, (), ()),
     ("transmitter_temperature", broadcast.transmitter_temperature, {"power": 1.0, "bit_rate": 1e6}, (), ()),
@@ -75,6 +79,8 @@ _PUBLIC = [
 
 #: (function id, argument) for every checked argument: all but the byte strings.
 _ARGUMENTS = [(name, arg) for name, _, valid, _, _ in _PUBLIC for arg in valid if arg != "data"]
+#: The count arguments: those whose valid value is an int.
+_COUNTS = [(name, arg) for name, _, valid, _, _ in _PUBLIC for arg, value in valid.items() if type(value) is int]
 _BY_NAME = {name: (function, valid, infinite_ok, none_ok) for name, function, valid, infinite_ok, none_ok in _PUBLIC}
 
 #: Values that are never a finite real number.
@@ -86,6 +92,9 @@ _NOT_NUMBERS = st.one_of(
     st.sampled_from([math.inf, -math.inf]),
 )
 
+#: Numbers that are no count.
+_NOT_INTEGERS = st.sampled_from([2.5, 3.0, np.float64(3)])
+
 
 @pytest.mark.parametrize("name", sorted(_BY_NAME))
 def test_the_valid_arguments_are_accepted(name):
@@ -94,9 +103,10 @@ def test_the_valid_arguments_are_accepted(name):
 
 
 @settings(max_examples=600, deadline=None)
-@given(case=st.sampled_from(_ARGUMENTS), bad=_NOT_NUMBERS)
-def test_a_non_number_raises_domain_error(case, bad):
-    name, arg = case
+@given(st.one_of(st.tuples(st.sampled_from(_ARGUMENTS), _NOT_NUMBERS),
+                 st.tuples(st.sampled_from(_COUNTS), _NOT_INTEGERS)))
+def test_a_non_number_raises_domain_error(case_and_bad):
+    (name, arg), bad = case_and_bad
     function, valid, infinite_ok, none_ok = _BY_NAME[name]
     if (bad == math.inf and arg in infinite_ok) or (bad is None and arg in none_ok):
         return
@@ -134,3 +144,42 @@ class TestCheckers:
     def test_an_invalid_quantity_is_a_domain_error_and_a_value_error(self):
         assert issubclass(InvalidQuantityError, DomainError)
         assert issubclass(DomainError, ValueError)
+
+    @pytest.mark.parametrize("value", [0, 1, 10, np.int64(7), np.uint8(3), 2**64 - 1])
+    def test_require_count_accepts_integers_numpy_ones_too(self, value):
+        require_count(0, 2**64 - 1, n=value)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3), True, np.True_, None, "3", math.nan, math.inf,
+                                       -1, 11, 10**400])
+    def test_require_count_refuses_everything_else(self, value):
+        with pytest.raises(InvalidQuantityError, match=r"^n must be an integer in \[0, 10\], got "):
+            require_count(0, 10, n=value)
+
+    def test_require_count_keeps_a_count_inside_the_float_range_by_default(self):
+        require_count(1, length=10**308)
+        with pytest.raises(InvalidQuantityError, match="^length must be an integer"):
+            require_count(1, length=10**309)
+
+    def test_require_above_admits_an_infinitely_hot_bath(self):
+        require_above(300.0, t_hot=math.inf)
+        require_above(300.0, t_hot=300.00000000000006)
+        require_above(0, temperature=5e-324)
+
+    @pytest.mark.parametrize("value", [300.0, 299.0, -math.inf, math.nan, None, "inf", True])
+    def test_require_above_refuses_everything_else(self, value):
+        with pytest.raises(InvalidQuantityError, match="^t_hot must be"):
+            require_above(300.0, t_hot=value)
+
+    def test_require_result_returns_a_finite_value_unchanged(self):
+        assert require_result("x", 1e308) == 1e308
+        assert require_result("an energy", 0.0) == 0.0
+        assert require_result("a rate", 5e-324, zero_underflows=True) == 5e-324
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_require_result_refuses_an_overflow(self, value):
+        with pytest.raises(DomainError, match="^the rate overflows$"):
+            require_result("the rate", value, zero_underflows=True)
+
+    def test_require_result_refuses_zero_only_where_it_is_an_underflow(self):
+        with pytest.raises(DomainError, match="^the square underflows to 0$"):
+            require_result("the square", 0.0, zero_underflows=True)

@@ -237,6 +237,11 @@ class TestHFunction:
         with pytest.raises(InvalidDistributionError):
             ConfigDistribution(((Configuration(b"\x00"), 1.2), (Configuration(b"\x01"), -0.2)))
 
+    @pytest.mark.parametrize("prob", [math.nan, None, "0.5", math.inf])
+    def test_a_probability_that_is_no_finite_number_is_a_domain_error(self, prob):
+        with pytest.raises(DomainError):
+            ConfigDistribution(((Configuration(b"\x00"), 0.5), (Configuration(b"\x01"), prob)))
+
     def test_duplicate_configurations_rejected(self):
         with pytest.raises(InvalidDistributionError):
             ConfigDistribution(((Configuration(b"\x00"), 0.5), (Configuration(b"\x00"), 0.5)))
@@ -567,6 +572,8 @@ class TestSimulateValidation:
             run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, range(2**64 - 2, 2**64 + 1))
         with pytest.raises(DomainError):
             run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, [3, -1, 5])
+        with pytest.raises(DomainError):
+            run_ensemble(10, 2 * T_HALF, T_HALF, BIT_ENERGY, 10, [0, 0.5, 1])
         assert calls == []
 
 

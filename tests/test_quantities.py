@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from infotherm import quantities
-from infotherm.errors import InvalidQuantityError
+from infotherm.errors import DomainError, InvalidQuantityError
 
 # Independent copies of the constants; the module must agree with these.
 BOLTZMANN = 1.380649e-23
@@ -54,5 +54,6 @@ def test_invalid_amounts_rejected(bad):
 
 
 def test_unknown_unit_rejected():
-    with pytest.raises(ValueError, match="unknown information unit"):
+    with pytest.raises(ValueError, match="unknown information unit") as exc:
         quantities.convert_information(1.0, "furlongs")
+    assert isinstance(exc.value, DomainError)

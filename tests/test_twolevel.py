@@ -150,6 +150,10 @@ class TestGasTemperature:
         with pytest.raises(DomainError, match="overflows"):
             gas_temperature(GasSpec(10, ones, 1e308))
 
+    def test_an_overflowing_gas_energy_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            GasSpec(10, 5, 1e308).energy
+
     def test_half_filling_stays_infinite_at_any_bit_energy(self):
         temp = gas_temperature(GasSpec(10, 5, 1e308))
         assert temp.infinite and not temp.inverted
