@@ -73,6 +73,7 @@ __version__ = "0.1.0"
 _MCSIM_NAMES = (
     "ConfigDistribution",
     "Configuration",
+    "EnsembleSummary",
     "SimLedger",
     "ensemble_summary",
     "h_function",

@@ -16,7 +16,8 @@ macroscopic entropies alike.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_above, require_at_least, require_finite, require_positive, require_result
+from .errors import DomainError, require_above, require_at_least, require_finite, require_positive, require_quotient
+from .errors import require_result
 from .quantities import K_B, LN2, unit
 
 VERDICT_SATISFIED = "satisfied"
@@ -119,6 +120,5 @@ def max_computing_rate(power: float, noise_temperature: float, margin: float = 1
     """
     require_positive(power=power, noise_temperature=noise_temperature)
     require_at_least(1, margin=margin)
-    rate = power / (margin * K_B * LN2 * noise_temperature)
     what = f"the computing rate of {power} W at a noise temperature of {noise_temperature} K and a margin of {margin}"
-    return require_result(what, rate, zero_underflows=True)
+    return require_quotient(what, power, margin * K_B * LN2 * noise_temperature, zero_underflows=True)

@@ -16,7 +16,8 @@ Bit rate and carrier frequency are separate parameters: the wavelength comes
 from the carrier, the per-bit energy from the bit rate. They often coincide
 numerically, so the carrier defaults to the bit rate. A result that
 overflows double precision raises DomainError, as does a squared length (a
-distance, an antenna radius or a wavelength) that underflows to 0.
+distance, an antenna radius or a wavelength) or a positive result (a range,
+a temperature, an energy, a power or an information) that underflows to 0.
 
 Relation to the per-bit picture: for a random file only half the slots carry
 an excited bit, so average power P corresponds to a one-bit energy of 2P/f
@@ -28,7 +29,7 @@ with bit energy 2P/f.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_at_least, require_count, require_positive, require_result
+from .errors import DomainError, require_at_least, require_count, require_positive, require_quotient, require_result
 from .quantities import C_LIGHT, K_B, LN2, unit
 
 #: Detection criteria accepted by :func:`max_range`.
@@ -75,7 +76,7 @@ class LinkBudget:
         """Per-bit energy at a receiver of this budget's area at ``distance``."""
         require_positive(distance=distance)
         energy = (self.power / self.bit_rate) * self.receiver_area / (4.0 * math.pi * _squared(distance, "distance"))
-        return require_result(f"the bit energy received at {distance} m", energy)
+        return require_result(f"the bit energy received at {distance} m", energy, zero_underflows=True)
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,8 @@ class BroadcastInformation:
 def transmitter_temperature(power: float, bit_rate: float) -> float:
     """Source temperature in power/rate units: P / (k_B f ln 2)."""
     require_positive(power=power, bit_rate=bit_rate)
-    return require_result(f"the temperature of {power} W at {bit_rate} bit/s", power / (K_B * bit_rate * LN2))
+    return require_quotient(f"the temperature of {power} W at {bit_rate} bit/s", power, K_B * bit_rate * LN2,
+                            zero_underflows=True)
 
 
 def receiver_temperature(source_kelvin: float, area: float, distance: float) -> ReceiverTemperature:
@@ -129,7 +131,7 @@ def receiver_temperature(source_kelvin: float, area: float, distance: float) -> 
     """
     require_positive(source_kelvin=source_kelvin, area=area, distance=distance)
     factor = area / (4.0 * math.pi * _squared(distance, "distance"))
-    kelvin = require_result(f"the temperature received at {distance} m", source_kelvin * factor)
+    kelvin = require_result(f"the temperature received at {distance} m", source_kelvin * factor, zero_underflows=True)
     return ReceiverTemperature(kelvin=kelvin, geometric_factor=factor)
 
 
@@ -159,10 +161,12 @@ def max_range(budget: LinkBudget, criterion: str = "bit-energy") -> float:
     if criterion not in RANGE_CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}; expected one of {RANGE_CRITERIA}")
     noise_floor = budget.snr_margin * K_B * budget.noise_temperature
-    r_squared = (budget.power / budget.bit_rate) * budget.receiver_area / (4.0 * math.pi * noise_floor)
+    what = f"the range of {budget.power} W at {budget.bit_rate} bit/s"
+    r_squared = require_quotient(what, (budget.power / budget.bit_rate) * budget.receiver_area,
+                                 4.0 * math.pi * noise_floor)
     if criterion == "file-temperature":
         r_squared /= 2.0 * LN2
-    return require_result(f"the range of {budget.power} W at {budget.bit_rate} bit/s", math.sqrt(r_squared))
+    return require_result(what, math.sqrt(r_squared), zero_underflows=True)
 
 
 def max_broadcast_information(
@@ -184,7 +188,8 @@ def max_broadcast_information(
     )
     wavelength = C_LIGHT / carrier_frequency
     patches = 4.0 * math.pi * _squared(antenna_radius, "antenna radius") / _squared(wavelength, "wavelength")
-    bits = require_result(f"the information of a {antenna_radius} m antenna", bit_rate * patches * duration)
+    bits = require_result(f"the information of a {antenna_radius} m antenna", bit_rate * patches * duration,
+                          zero_underflows=True)
     return BroadcastInformation(
         nats=LN2 * bits, bits=bits, wavelength=wavelength, radius=antenna_radius
     )
@@ -193,10 +198,12 @@ def max_broadcast_information(
 def equivalent_bit_energy(power: float, bit_rate: float) -> float:
     """One-bit energy matching average power for a random file: 2 P / f."""
     require_positive(power=power, bit_rate=bit_rate)
-    return require_result(f"the bit energy of {power} W at {bit_rate} bit/s", 2.0 * power / bit_rate)
+    return require_result(f"the bit energy of {power} W at {bit_rate} bit/s", 2.0 * power / bit_rate,
+                          zero_underflows=True)
 
 
 def equivalent_power(bit_energy: float, bit_rate: float) -> float:
     """Average power of a random file with the given one-bit energy: f e / 2."""
     require_positive(bit_energy=bit_energy, bit_rate=bit_rate)
-    return require_result(f"the power of {bit_energy} J bits at {bit_rate} bit/s", bit_rate * bit_energy / 2.0)
+    return require_result(f"the power of {bit_energy} J bits at {bit_rate} bit/s", bit_rate * bit_energy / 2.0,
+                          zero_underflows=True)

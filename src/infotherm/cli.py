@@ -39,8 +39,8 @@ import os
 import sys
 
 from . import bounds, broadcast, fileinfo, twolevel
-from .errors import DomainError, require_count, require_positive, require_result, require_within_budget
-from .quantities import K_B, LN2, convert_information
+from .errors import DomainError, require_count, require_positive, require_within_budget
+from .quantities import bits_to_nats, convert_information, entropy_si_to_nats
 
 FORMAT_ENV_VAR = "INFOTHERM_FORMAT"
 
@@ -208,18 +208,17 @@ def _rows(name: str) -> dict:
     return {f.name.replace("-", "_"): f for entry in flags for f in ((entry,) if isinstance(entry, _Flag) else entry)}
 
 
-def _echo(env: Envelope, args, *names: str) -> None:
+def _echo(env: Envelope, args) -> None:
     """Echo flag values into ``env.inputs``, with their rows' units.
 
-    The named rows in that order, else each row with a unit and not marked
-    ``echo=False``; None values and names already echoed are skipped.
-    ``_execute`` calls it after the handler, which may resolve values first.
+    Each row with a unit and not marked ``echo=False``, in table order; None
+    values are skipped. ``_execute`` calls it after the handler, which may
+    resolve values first.
     """
-    rows = _rows(args.leaf)
-    for dest in names or [dest for dest, flag in rows.items() if flag.unit and flag.echo]:
+    for dest, flag in _rows(args.leaf).items():
         value = getattr(args, dest)
-        if value is not None and dest not in env.inputs:
-            env.add_input(dest, value, rows[dest].unit)
+        if flag.unit and flag.echo and value is not None:
+            env.add_input(dest, value, flag.unit)
 
 
 _L = _Flag("L", _count, "count", _REQUIRED, "number of sites")
@@ -366,18 +365,17 @@ def _broadcast_range(args, env: Envelope) -> None:
 @_command("broadcast temperature", "transmitter/receiver temperatures",
           _POWER, _BIT_RATE,
           _CARRIER._replace(echo=False),
-          _Flag("distance", float, "m", None, "receiver distance (optional)", echo=False),
-          _AREA._replace(echo=False),
+          _AREA,
+          _Flag("distance", float, "m", None, "receiver distance (optional)"),
           _AREA_MODE)
 def _broadcast_temperature(args, env: Envelope) -> None:
     t_source = broadcast.transmitter_temperature(args.power, args.bit_rate)
     env.add("transmitter_temperature", t_source, "K")
     env.add("equivalent_bit_energy", broadcast.equivalent_bit_energy(args.power, args.bit_rate), "J")
     if args.distance is None:
+        args.area = None  # the area goes unused, so it is not echoed
         return
     args.area = _resolve_area(args)
-    _echo(env, args)
-    _echo(env, args, "area", "distance")  # after power and bit rate, and area first, unlike the help
     received = broadcast.receiver_temperature(t_source, args.area, args.distance)
     env.add("receiver_temperature", received.kelvin, "K")
     env.add("geometric_factor", received.geometric_factor, "dimensionless")
@@ -390,11 +388,11 @@ def _broadcast_temperature(args, env: Envelope) -> None:
            _Flag("info-bits", float, "bits", _REQUIRED, "file information", echo=False)),
           _Flag("receivers", _count, "count", _REQUIRED, "number of receivers"))
 def _broadcast_balance(args, env: Envelope) -> None:
-    info = args.info_nats if args.info_nats is not None else args.info_bits * LN2
+    info = args.info_nats if args.info_nats is not None else bits_to_nats(args.info_bits)
     env.add_input("info", info, "nats")
     balance = broadcast.broadcast_entropy_balance(info, args.receivers)
     env.add_results(balance)
-    env.add("information_increase", require_result("the information increase", balance.entropy_increase / K_B), "nats")
+    env.add("information_increase", entropy_si_to_nats(balance.entropy_increase), "nats")
 
 
 @_command("broadcast capacity", "area-law maximum broadcast information",
@@ -447,19 +445,6 @@ def _clausius(args, env: Envelope) -> None:
     env.add_results(ledger)
 
 
-#: Units of ``mcsim.ensemble_summary``'s values, in report order; its
-#: ``runs`` is reported last, as ``run_count``.
-_SUMMARY_UNITS = {
-    "mean_total_entropy_change": "J/K",
-    "se_total_entropy_change": "J/K",
-    "mean_p_final": "count",
-    "se_p_final": "count",
-    "mean_heat_to_cold": "J",
-    "se_heat_to_cold": "J",
-    "run_count": "count",
-}
-
-
 @_command("simulate", "hot->cold transfer simulation",
           _L,
           _Flag("t-hot", float, "K", _REQUIRED, "hot bath temperature"),
@@ -480,10 +465,7 @@ def _simulate(args, env: Envelope) -> None:
     ledgers = mcsim.run_ensemble(args.L, args.t_hot, args.t_cold, args.epsilon, args.steps, seeds)
     fields = _reported_fields(mcsim.SimLedger)
     env.add("runs", [{name: getattr(led, name) for name, _ in fields} for led in ledgers])
-    summary = mcsim.ensemble_summary(ledgers)
-    summary["run_count"] = summary.pop("runs")
-    for name, unit in _SUMMARY_UNITS.items():
-        env.add(name, summary[name], unit)
+    env.add_results(mcsim.ensemble_summary(ledgers))
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,9 @@ InvalidQuantityError: a quantity (an energy > 0, information >= 0) by
 ``require_finite``, ``require_positive`` or ``require_at_least``, a count,
 which must be an integer, by ``require_count``, and a bath temperature, which
 may be +inf, by ``require_above``. ``require_result`` raises DomainError for
-a result that overflows double precision.
+a result that overflows double precision, and ``require_quotient`` for a
+quotient that does, a thermal denominator such as k_B T that underflows to 0
+included.
 """
 
 import math
@@ -99,6 +101,16 @@ def require_result(what: str, value: float, *, zero_underflows: bool = False) ->
     if zero_underflows and not value:
         raise DomainError(f"{what} underflows to 0")
     return value
+
+
+def require_quotient(what: str, numerator: float, denominator: float, *, zero_underflows: bool = False) -> float:
+    """``numerator / denominator`` through ``require_result``, for a denominator > 0 that may underflow to 0.
+
+    A denominator of 0 stands for one too small for a double, so a nonzero
+    numerator over it overflows, and 0 over it is 0.
+    """
+    quotient = numerator / denominator if denominator else math.inf if numerator else 0.0
+    return require_result(what, quotient, zero_underflows=zero_underflows)
 
 
 def require_within_budget(nbytes: int, request: str) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import lz
 from .errors import EmptyFileError, SampleSizeError, UndefinedTemperatureError
-from .errors import require_at_least, require_count, require_positive, require_result
+from .errors import require_at_least, require_count, require_positive, require_quotient, require_result
 from .quantities import K_B, LN2, unit
 
 #: Block size used for the block-entropy field of a standard report.
@@ -157,14 +157,14 @@ def effective_temperature(energy: float, info_nats: float) -> float:
 
     energy / (k_B * info). Returns +inf when a file carries energy but no
     information (the degenerate fully-ordered limit). A negative or
-    non-finite argument raises DomainError.
+    non-finite argument, or a temperature that overflows, raises DomainError.
     """
     require_at_least(0, energy=energy, information=info_nats)
     if info_nats == 0.0:
         if energy == 0.0:
             raise UndefinedTemperatureError("temperature of zero energy and zero information is undefined")
         return math.inf
-    return energy / (K_B * info_nats)
+    return require_quotient(f"the temperature of {energy} J carrying {info_nats} nats", energy, K_B * info_nats)
 
 
 def _clamped_score(info_compression: float, info_max: float) -> float:
@@ -190,9 +190,8 @@ def analyze(data: bytes, bit_energy: float, block_bits: int = DEFAULT_BLOCK_BITS
     info_max = max_information(bit_length)
     info_order0 = _binary_entropy(ones, bit_length) * bit_length
 
-    k = block_bits
-    while k >= 1 and bit_length < _MIN_SAMPLES_PER_STATE * (1 << k):
-        k -= 1
+    # The largest k with bit_length >= 10 * 2^k, that is 2^k <= bit_length // 10.
+    k = min(block_bits, (bit_length // _MIN_SAMPLES_PER_STATE).bit_length() - 1)
     info_block = block_entropy(data, k) * bit_length if k >= 1 else None
 
     info_comp = compression_information(data)

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidDistributionError, require_above, require_count, require_finite
-from .errors import require_positive, require_within_budget
+from .errors import require_positive, require_quotient, require_within_budget
 from .quantities import K_B, unit
 from .twolevel import multiplicity_ln, occupation_at, transfer_entropy_delta
 
@@ -111,12 +111,7 @@ class Configuration:
         return len(self.bits)
 
     def ones_count(self) -> int:
-        return int(np.frombuffer(self.bits, dtype=np.uint8).sum()) if self.bits else 0
-
-    def as_array(self) -> np.ndarray:
-        arr = np.frombuffer(self.bits, dtype=np.uint8)
-        arr.flags.writeable = False
-        return arr
+        return self.bits.count(1)
 
 
 @dataclass(frozen=True)
@@ -168,6 +163,22 @@ class SimLedger:
     entropy_gas_change: float = unit("J/K")
     entropy_full_transfer: float | None = unit("J/K")
     total_entropy_change: float = unit("J/K")
+
+
+@dataclass(frozen=True)
+class EnsembleSummary:
+    """Means and standard errors of the key per-run quantities of an ensemble.
+
+    Every ``se_*`` is +inf for a one-run ensemble.
+    """
+
+    mean_total_entropy_change: float = unit("J/K")
+    se_total_entropy_change: float = unit("J/K")
+    mean_p_final: float = unit("count")
+    se_p_final: float = unit("count")
+    mean_heat_to_cold: float = unit("J")
+    se_heat_to_cold: float = unit("J")
+    run_count: int = unit("count")
 
 
 def sample_equilibrium(length: int, ones: int, seed: int) -> Configuration:
@@ -313,7 +324,7 @@ def simulate_transfer(
     For reliable relaxation use steps >= 100 * length. ``steps = 0`` returns
     the prepared state unchanged. A run whose memory bound (module docstring)
     exceeds ``errors.MEMORY_BUDGET`` raises DomainError before anything is
-    allocated.
+    allocated, and so does a ratio bit_energy / k_B T_cold that overflows.
     """
     require_count(1, length=length)
     require_count(0, steps=steps)
@@ -323,7 +334,8 @@ def simulate_transfer(
 
     prob_hot = occupation_at(1, t_hot, bit_energy)
     require_within_budget(_relax_bytes(length, steps), f"a run of L={length} with {steps} steps")
-    initial, final = _relax(length, prob_hot, math.exp(-bit_energy / (K_B * t_cold)), steps, seed)
+    exponent = require_quotient(f"the ratio of {bit_energy} J to k_B times {t_cold} K", bit_energy, K_B * t_cold)
+    initial, final = _relax(length, prob_hot, math.exp(-exponent), steps, seed)
 
     p_initial = int(initial.sum())
     p_final = int(final.sum())
@@ -390,7 +402,7 @@ def run_ensemble(
     ]
 
 
-def ensemble_summary(ledgers: list[SimLedger]) -> dict:
+def ensemble_summary(ledgers: list[SimLedger]) -> EnsembleSummary:
     """Means and standard errors of the key per-run quantities."""
     if not ledgers:
         raise DomainError("cannot summarize an empty ensemble")
@@ -402,12 +414,12 @@ def ensemble_summary(ledgers: list[SimLedger]) -> dict:
     def se(values: np.ndarray) -> float:
         return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
 
-    return {
-        "runs": n,
-        "mean_total_entropy_change": float(totals.mean()),
-        "se_total_entropy_change": se(totals),
-        "mean_p_final": float(p_finals.mean()),
-        "se_p_final": se(p_finals),
-        "mean_heat_to_cold": float(heats.mean()),
-        "se_heat_to_cold": se(heats),
-    }
+    return EnsembleSummary(
+        mean_total_entropy_change=float(totals.mean()),
+        se_total_entropy_change=se(totals),
+        mean_p_final=float(p_finals.mean()),
+        se_p_final=se(p_finals),
+        mean_heat_to_cold=float(heats.mean()),
+        se_heat_to_cold=se(heats),
+        run_count=n,
+    )

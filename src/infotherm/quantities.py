@@ -18,7 +18,7 @@ corresponds to an entropy k_B * I in J/K.
 
 import dataclasses
 
-from .errors import DomainError, require_at_least
+from .errors import DomainError, require_at_least, require_result
 
 #: Boltzmann constant, J/K (exact since the 2019 SI redefinition).
 K_B = 1.380649e-23
@@ -49,25 +49,26 @@ def convert_information(nats: float, target: str) -> float:
     """Convert an information amount given in nats to ``target`` units.
 
     ``target`` is one of ``"nats"``, ``"bits"`` or ``"J/K"``. nats -> bits
-    divides by ln 2; nats -> J/K multiplies by k_B.
+    divides by ln 2, and raises DomainError when that overflows; nats -> J/K
+    multiplies by k_B.
     """
     require_at_least(0, nats=nats)
     if target == "nats":
         return nats
     if target == "bits":
-        return nats / LN2
+        return require_result(f"{nats} nats in bits", nats / LN2)
     if target == "J/K":
         return nats * K_B
     raise DomainError(f"unknown information unit {target!r}; expected one of {INFORMATION_UNITS}")
 
 
 def bits_to_nats(bits: float) -> float:
-    """Inverse of the nats -> bits conversion."""
+    """Inverse of the nats -> bits conversion (it cannot overflow: ln 2 < 1)."""
     require_at_least(0, bits=bits)
     return bits * LN2
 
 
 def entropy_si_to_nats(entropy_si: float) -> float:
-    """Inverse of the nats -> J/K conversion."""
+    """Inverse of the nats -> J/K conversion; DomainError when it overflows."""
     require_at_least(0, entropy_si=entropy_si)
-    return entropy_si / K_B
+    return require_result(f"{entropy_si} J/K in nats", entropy_si / K_B)

@@ -24,7 +24,7 @@ from a hot bath to a cold one, charging the full gas energy to both baths
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_above, require_count, require_positive, require_result
+from .errors import DomainError, require_above, require_count, require_positive, require_quotient, require_result
 from .quantities import K_B, unit
 
 
@@ -109,13 +109,18 @@ def multiplicity_ln(length: int, ones: int) -> float:
     Computed with log-gamma, so it is exact to double precision and does not
     overflow for lengths up to at least 1e9. Symmetric under
     ones <-> length - ones by construction (the two subtracted terms are
-    evaluated in sorted order).
+    evaluated in sorted order). Beyond about 2.5e305 sites log-gamma itself
+    overflows, and DomainError is raised.
     """
     require_count(1, length=length)
     require_count(0, length, ones=ones)
     lo = min(ones, length - ones)
     hi = length - lo
-    return math.lgamma(length + 1) - math.lgamma(lo + 1) - math.lgamma(hi + 1)
+    try:
+        return math.lgamma(length + 1) - math.lgamma(lo + 1) - math.lgamma(hi + 1)
+    except OverflowError:
+        what = f"the entropy of {ones:.6g} excited sites of {length:.6g}"
+        raise DomainError(f"{what} needs a log-gamma value that overflows") from None
 
 
 def entropy_stirling(length: int, ones: int) -> float:
@@ -142,7 +147,9 @@ def gas_temperature(spec: GasSpec) -> GasTemperature:
     (bit_energy / k_B) / ln((length-ones)/ones): positive below half filling,
     +inf (flagged by ``infinite``) exactly at half filling, negative with the
     ``inverted`` flag above half filling. Away from half filling, a
-    temperature that overflows double precision raises DomainError.
+    temperature that overflows double precision raises DomainError. Near half
+    filling, where the ratio rounds to 1, the log is taken as
+    log1p((length - 2 ones) / ones).
     """
     length, ones = spec.length, spec.ones
     if ones in (0, length):
@@ -150,6 +157,8 @@ def gas_temperature(spec: GasSpec) -> GasTemperature:
             "temperature is a zero-temperature limit at ones in {0, length}"
         )
     ratio_log = math.log((length - ones) / ones)
+    if ratio_log == 0.0 and 2 * ones != length:
+        ratio_log = math.log1p((length - 2 * ones) / ones)
     if ratio_log == 0.0:
         return GasTemperature(kelvin=math.inf, inverted=False)
     kelvin = require_result(f"the temperature of {ones} excited sites of {length} at {spec.bit_energy} J each",
@@ -163,11 +172,12 @@ def occupation_at(length: int, temperature: float, bit_energy: float) -> float:
     Inverts the temperature law: length / (1 + exp(bit_energy / k_B T)).
     The return value is an ensemble average in (0, length/2] and is not
     rounded; callers needing an integer microstate count round explicitly.
+    A ratio bit_energy / k_B T that overflows raises DomainError.
     """
     require_count(1, length=length)
     require_above(0, temperature=temperature)
     require_positive(bit_energy=bit_energy)
-    x = bit_energy / (K_B * temperature)
+    x = require_quotient(f"the ratio of {bit_energy} J to k_B times {temperature} K", bit_energy, K_B * temperature)
     # exp(-x) never overflows for x > 0; underflow to 0 is the correct limit.
     boltzmann = math.exp(-x)
     return length * boltzmann / (1.0 + boltzmann)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -9,12 +10,14 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infotherm import cli
 from infotherm.bounds import EntropyLedger
 from infotherm.broadcast import BroadcastBalance
 from infotherm.fileinfo import FileReport
-from infotherm.mcsim import SimLedger
+from infotherm.mcsim import EnsembleSummary, SimLedger
 from infotherm.twolevel import TransferLedger
 
 SCHEMA = json.loads(
@@ -103,6 +106,13 @@ class TestEnvelopes:
         path.write_text(json.dumps({"delta_S": 2e-22, "heat_terms": [[1e-20, 100.0]]}))
         payload = run_json(capsys, ["clausius", "--ledger", str(path)])
         assert payload["results"]["verdict"] == "satisfied"
+
+    def test_a_temperature_near_half_filling_is_finite(self, capsys):
+        # (L - p) / p rounds to 1.0; this printed inf and "exactly half filling".
+        payload = run_json(capsys, ["gas", "temperature", "--L", "100000000000000000", "--p", "49999999999999999",
+                                    "--epsilon", "1e-21"])
+        assert payload["results"]["temperature"] == pytest.approx(1.81e18, rel=1e-3)
+        assert payload["warnings"] == []
 
     def test_compute_bound(self, capsys):
         payload = run_json(capsys, ["compute-bound", "--power", "1", "--noise-temp", "300", "--margin", "10"])
@@ -507,14 +517,24 @@ class TestExitCodes:
             ["broadcast", "balance", "--info-bits", "1e308", "--receivers", "1e10"],
             ["broadcast", "temperature", "--power", "1e308", "--bit-rate", "1e-300"],
             ["gas", "state", "--L", "10", "--p", "5", "--epsilon", "1e308"],
+            ["gas", "occupation", "--L", "1", "--T", "5e-324", "--epsilon", "1"],
+            ["simulate", "--L", "10", "--t-hot", "1", "--t-cold", "5e-324", "--epsilon", "1e-21", "--steps", "10"],
+            ["compute-bound", "--power", "1", "--noise-temp", "5e-324"],
+            ["broadcast", "temperature", "--power", "1", "--bit-rate", "5e-324"],
+            ["broadcast", "range", "--power", "1", "--bit-rate", "1", "--noise-temp", "5e-324"],
+            ["broadcast", "range", "--power", "5e-324", "--bit-rate", "1e-300", "--carrier", "1", "--area", "5e-324"],
+            ["gas", "entropy", "--L", "3e305", "--p", "5"],
+            ["gas", "entropy", "--L", "1e308", "--p", "1e308"],
         ],
         ids=["gas-temperature-overflow", "gas-state-overflow", "gas-transfer-overflow", "range-wavelength-squared",
              "temperature-wavelength-squared", "temperature-distance-squared", "capacity-radius-squared",
              "range-overflow", "balance-information-overflow", "transmitter-temperature-overflow",
-             "gas-state-energy-overflow"],
+             "gas-state-energy-overflow", "occupation-denominator", "simulate-denominator",
+             "compute-bound-denominator", "transmitter-denominator", "range-denominator", "range-underflow",
+             "entropy-lgamma-overflow", "entropy-lgamma-overflow-full"],
     )
     def test_overflowing_result_exits_one(self, capsys, argv):
-        # Each once printed a wrong verdict, a nan or a traceback.
+        # Each once printed a wrong verdict, a nan, a 0.0 or a traceback.
         code, out, err = run_cli(capsys, argv)
         assert code == 1
         assert out == ""
@@ -609,7 +629,7 @@ class TestDeterminism:
 #: Every public name of the package, pinned when ``mcsim`` became lazy.
 PUBLIC_NAMES = [
     "BroadcastBalance", "BroadcastInformation", "C_LIGHT", "ConfigDistribution", "Configuration",
-    "DomainError", "EmptyFileError", "EntropyLedger", "FileReport", "GasSpec", "GasState",
+    "DomainError", "EmptyFileError", "EnsembleSummary", "EntropyLedger", "FileReport", "GasSpec", "GasState",
     "GasTemperature", "InvalidDistributionError", "InvalidQuantityError", "K_B", "LN2", "LinkBudget",
     "ReceiverTemperature", "SampleSizeError", "SimLedger", "TransferLedger", "UndefinedTemperatureError",
     "analyze", "analyze_counts", "block_entropy", "bounds", "broadcast", "broadcast_entropy_balance",
@@ -722,9 +742,107 @@ class TestDeclaredUnits:
             (FileReport, set(), set()),
             (EntropyLedger, set(), {"heat_terms", "verdict"}),
             (BroadcastBalance, set(), set()),
+            (EnsembleSummary, set(), set()),
         ],
     )
     def test_only_input_echoes_are_unreported(self, cls, unreported, unitless):
         fields = dataclasses.fields(cls)
         assert {f.name for f in fields if "unit" not in f.metadata} == unreported
         assert {f.name for f in fields if f.metadata.get("unit", "") is None} == unitless
+
+
+#: Values of the CLI fuzz gate: zero, a negative, the ends of the float range,
+#: the non-finite values, a count beyond 64 bits and a non-number. The memory
+#: budget refuses a simulation or a sweep with any larger count than 1 of
+#: these, so the gate needs no cap of its own.
+_FUZZ_VALUES = (0, -1, 5e-324, 1e-300, 1, 1e300, 1e308, math.inf, math.nan, 2**64, "x")
+
+#: The finite positive ones. Half the examples draw only these, so that most
+#: of them pass the argument checks and reach the arithmetic.
+_FUZZ_POSITIVE = (5e-324, 1e-300, 1, 1e300, 1e308, 2**64)
+
+
+def _fuzz_flag(draw, flag, values: tuple, data_path: str) -> list[str]:
+    if flag.parse is bool:
+        return ["--" + flag.name]
+    if isinstance(flag.parse, tuple):
+        value = draw(st.sampled_from(flag.parse + ("x",)))
+    elif flag.name == "path":
+        value = data_path
+    elif flag.name == "ledger":
+        value = "-"
+    else:
+        value = str(draw(st.sampled_from(values)))
+    return ["--" + flag.name, value]
+
+
+def _fuzz_leaf(draw, leaf: str, values: tuple, data_path: str) -> list[str]:
+    """argv of ``leaf``: every required flag, some optional ones, one flag of each group at most."""
+    argv = leaf.split()
+    for entry in cli._COMMANDS[leaf][2]:
+        if isinstance(entry, cli._Flag):
+            flag = entry if entry.default is cli._REQUIRED or draw(st.booleans()) else None
+        else:
+            required = entry[0].default is cli._REQUIRED
+            flag = draw(st.sampled_from(entry)) if required or draw(st.booleans()) else None
+        if flag is not None:
+            argv += _fuzz_flag(draw, flag, values, data_path)
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["--json", "--csv"])))
+    return argv
+
+
+@st.composite
+def _fuzz_argv(draw, data_path: str) -> list[str]:
+    """argv of a leaf command, or of a sweep over one of its flags."""
+    values = draw(st.sampled_from([_FUZZ_VALUES, _FUZZ_POSITIVE]))
+    leaf = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = _fuzz_leaf(draw, leaf, values, data_path)
+    if not draw(st.booleans()):
+        return argv
+    params = [f.name for f in cli._rows(leaf).values()] + ["x"]
+    sweep = ["sweep", "--param", draw(st.sampled_from(params))]
+    for name in ("start", "stop", "count"):
+        sweep += ["--" + name, str(draw(st.sampled_from(values)))]
+    if draw(st.booleans()):
+        sweep.append("--log")
+    return sweep + ["--"] + argv
+
+
+#: A clausius ledger with every key, each present or not (delta_S too).
+_FUZZ_LEDGER = st.fixed_dictionaries({}, optional={
+    "delta_S": st.sampled_from(_FUZZ_VALUES),
+    "heat_terms": st.lists(st.lists(st.sampled_from(_FUZZ_VALUES), min_size=1, max_size=3), max_size=2),
+    "info_term": st.sampled_from(_FUZZ_VALUES),
+    "tolerance": st.sampled_from(_FUZZ_VALUES),
+})
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("fuzz") / "data.bin"
+    path.write_bytes(bytes(range(256)) * 2)
+    return str(path)
+
+
+class TestFuzz:
+    """Every command line of the fuzz values ends in an exit status, never in a traceback."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(data=st.data(), ledger=_FUZZ_LEDGER)
+    def test_no_traceback(self, fuzz_data, data, ledger):
+        argv = data.draw(_fuzz_argv(fuzz_data))
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.TextIOWrapper(io.BytesIO(json.dumps(ledger).encode()))  # file analyze reads it without --path
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "stdin", stdin)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error:") and len(err.splitlines()) == 1, (argv, err)

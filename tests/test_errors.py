@@ -24,6 +24,7 @@ from infotherm.errors import (
     require_count,
     require_finite,
     require_positive,
+    require_quotient,
     require_result,
 )
 
@@ -183,3 +184,45 @@ class TestCheckers:
     def test_require_result_refuses_zero_only_where_it_is_an_underflow(self):
         with pytest.raises(DomainError, match="^the square underflows to 0$"):
             require_result("the square", 0.0, zero_underflows=True)
+
+    def test_require_quotient_divides(self):
+        assert require_quotient("x", 1.0, 4.0) == 0.25
+        assert require_quotient("x", 0.0, 5e-324) == 0.0
+
+    def test_require_quotient_takes_a_zero_denominator_as_an_overflow(self):
+        with pytest.raises(DomainError, match="^the rate overflows$"):
+            require_quotient("the rate", 1.0, 1e-300 * 1e-300)
+        assert require_quotient("the temperature", 0.0, 0.0) == 0.0
+        with pytest.raises(DomainError, match="^the rate underflows to 0$"):
+            require_quotient("the rate", 0.0, 0.0, zero_underflows=True)
+
+
+#: Calls whose true result no double holds: a quotient over a thermal
+#: denominator that underflows to 0, a positive result that underflows to 0,
+#: log-gamma values and unit conversions that overflow.
+_OUT_OF_RANGE = {
+    "occupation-denominator": lambda: twolevel.occupation_at(1, 5e-324, 1.0),
+    "simulation-denominator": lambda: mcsim.simulate_transfer(10, 1.0, 5e-324, 1e-21, 10, 0),
+    "computing-rate-denominator": lambda: bounds.max_computing_rate(1.0, 5e-324),
+    "transmitter-denominator": lambda: broadcast.transmitter_temperature(1.0, 5e-324),
+    "range-denominator": lambda: broadcast.max_range(broadcast.LinkBudget(1.0, 1.0, 1.0, noise_temperature=5e-324)),
+    "effective-temperature-denominator": lambda: fileinfo.effective_temperature(1.0, 5e-324),
+    "range-underflow": lambda: broadcast.max_range(broadcast.LinkBudget(5e-324, 1e-300, 5e-324, 1.0)),
+    "transmitter-underflow": lambda: broadcast.transmitter_temperature(5e-324, 1e300),
+    "receiver-underflow": lambda: broadcast.receiver_temperature(1e-300, 1e-300, 1.0),
+    "information-underflow": lambda: broadcast.max_broadcast_information(5e-324, 1e10, 1e-150, 5e-324),
+    "bit-energy-underflow": lambda: broadcast.equivalent_bit_energy(5e-324, 1e300),
+    "power-underflow": lambda: broadcast.equivalent_power(5e-324, 1e-300),
+    "received-bit-energy-underflow": lambda: broadcast.LinkBudget(5e-324, 1e300, 1.0).received_bit_energy(1.0),
+    "multiplicity-lgamma": lambda: twolevel.multiplicity_ln(int(3e305), 5),
+    "multiplicity-lgamma-full": lambda: twolevel.multiplicity_ln(int(1e308), int(1e308)),
+    "nats-to-bits": lambda: quantities.convert_information(1.5e308, "bits"),
+    "si-to-nats": lambda: quantities.entropy_si_to_nats(1e286),
+}
+
+
+@pytest.mark.parametrize("call", _OUT_OF_RANGE.values(), ids=list(_OUT_OF_RANGE))
+def test_a_result_out_of_range_raises_domain_error(call):
+    # Each raised ZeroDivisionError or OverflowError, or returned 0.0 or inf.
+    with pytest.raises(DomainError, match="overflows|underflows to 0"):
+        call()

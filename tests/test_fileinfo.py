@@ -344,6 +344,16 @@ class TestReport:
         report = fileinfo.analyze(b"\xa7\x00\xff", 1e-20)  # 24 bits: only k=1 feasible
         assert report.info_block_k is not None
 
+    @pytest.mark.parametrize("block_bits", [1, 3, 8, 24])
+    def test_block_size_is_the_largest_with_ten_samples_per_state(self, block_bits):
+        for size in range(1, 90):
+            data = bytes(range(size))
+            k = block_bits  # the reference: count down to the first feasible size
+            while k >= 1 and 8 * size < 10 * (1 << k):
+                k -= 1
+            expected = fileinfo.block_entropy(data, k) * 8 * size if k >= 1 else None
+            assert fileinfo.analyze(data, 1e-20, block_bits).info_block_k == expected, size
+
     def test_block_entropy_omitted_for_tiny_input(self):
         report = fileinfo.analyze(b"\xa7", 1e-20)  # 8 bits: even k=1 needs 20
         assert report.info_block_k is None

@@ -601,9 +601,9 @@ class TestEnsemble:
         ledgers = run_ensemble(50, 2 * T_HALF, T_HALF, BIT_ENERGY, 1000, range(10))
         summary = ensemble_summary(ledgers)
         totals = np.array([led.total_entropy_change for led in ledgers])
-        assert summary["runs"] == 10
-        assert summary["mean_total_entropy_change"] == pytest.approx(totals.mean(), rel=1e-14)
-        assert summary["se_total_entropy_change"] == pytest.approx(
+        assert summary.run_count == 10
+        assert summary.mean_total_entropy_change == pytest.approx(totals.mean(), rel=1e-14)
+        assert summary.se_total_entropy_change == pytest.approx(
             totals.std(ddof=1) / math.sqrt(10), rel=1e-12
         )
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -157,6 +158,17 @@ class TestGasTemperature:
     def test_half_filling_stays_infinite_at_any_bit_energy(self):
         temp = gas_temperature(GasSpec(10, 5, 1e308))
         assert temp.infinite and not temp.inverted
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_a_ratio_that_rounds_to_one_is_not_half_filling(self, offset):
+        # (L - p) / p rounds to 1.0 at L = 1e17, but 2p != L.
+        length, ones = 10**17, 5 * 10**16 + offset
+        temp = gas_temperature(GasSpec(length, ones, 1e-21))
+        with decimal.localcontext(decimal.Context(prec=50)):
+            ratio_log = float((decimal.Decimal(length - ones) / ones).ln())
+        assert temp.kelvin == pytest.approx((1e-21 / BOLTZMANN) / ratio_log, rel=1e-12)
+        assert abs(temp.kelvin) == pytest.approx(1.81e18, rel=1e-3)
+        assert temp.inverted == (offset > 0)
 
 
 class TestOccupation:
