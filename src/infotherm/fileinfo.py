@@ -87,10 +87,10 @@ def file_temperature(bit_energy: float) -> float:
     """Temperature of a maximally random file: bit_energy / (2 k_B ln 2).
 
     Independent of length and content by construction (the ones fraction of
-    a random file is 1/2).
+    a random file is 1/2). A temperature that overflows raises DomainError.
     """
     require_positive(bit_energy=bit_energy)
-    return bit_energy / (2.0 * K_B * LN2)
+    return require_result(f"the file temperature at {bit_energy} J per bit", bit_energy / (2.0 * K_B * LN2))
 
 
 def _binary_entropy(ones: int, bit_length: int) -> float:
@@ -117,10 +117,20 @@ def block_entropy(data: bytes, block_bits: int) -> float:
     The window histogram is counted from byte words, never from single bits:
     w[j] is the big-endian 32-bit word of bytes j..j+3 (the input padded with
     three zero bytes), so the window starting at bit 8j + r is
-    (w[j] >> (32 - r - k)) & (2^k - 1), which fits because r + k <= 31. One
-    bincount per bit offset r in 0..7 gives exact integer counts. Working
-    memory is about 13 bytes per input byte (the padded copy, the 4-byte
-    words and one reused 8-byte code buffer) plus 8 bytes per state.
+    (w[j] >> (32 - r - k)) & (2^k - 1), which fits because r + k <= 31. The
+    bit offsets r in 0..7 are counted in groups of g = max(1, min(8, 16 - k))
+    consecutive offsets a..a+g-1: one bincount of the (k+g-1)-bit field
+    starting at bit a of each w[j] holds the windows of every offset in the
+    group, and the histogram of offset r is the marginal of that field over
+    its bits [r-a, r-a+k). Fields are capped at 15 bits because wider
+    histograms count more slowly than they save; from k = 15 on, g = 1 and
+    each offset has its own bincount. Offsets in a group end at most one
+    byte apart, so the field covers the bytes where every offset of the
+    group has a window, and each offset's one window past that is added
+    alone. All counts are exact integers. Working memory is about 13 bytes
+    per input byte (the padded copy, the 4-byte words and one reused 8-byte
+    code buffer) plus 8 bytes per state, plus one field histogram of
+    8 * 2^(k+g-1) bytes (at most 256 KiB for k <= 15).
     """
     _require_data(data)
     require_count(1, 24, block_bits=block_bits)
@@ -134,14 +144,23 @@ def block_entropy(data: bytes, block_bits: int) -> float:
     import numpy as np  # here, not at module level: only this function needs it
 
     n_blocks = bit_length - block_bits + 1
+    mask = (1 << block_bits) - 1
     words = np.ndarray((len(data),), dtype=">u4", buffer=data + bytes(3), strides=(1,)).astype(np.uint32)
     codes = np.empty(len(data), dtype=np.intp)
     counts = np.zeros(1 << block_bits, dtype=np.int64)
-    for r in range(8):
-        c = codes[: -(-(n_blocks - r) // 8)]  # windows starting at bit offset r of a byte
-        np.right_shift(words[: c.size], 32 - r - block_bits, out=c)
-        c &= (1 << block_bits) - 1
-        counts += np.bincount(c, minlength=1 << block_bits)
+    group = max(1, min(8, 16 - block_bits))
+    for a in range(0, 8, group):
+        g = min(group, 8 - a)
+        width = block_bits + g - 1
+        c = codes[: -(-(n_blocks - (a + g - 1)) // 8)]  # bytes where every offset of the group has a window
+        np.right_shift(words[: c.size], 32 - a - width, out=c)
+        c &= (1 << width) - 1
+        field = np.bincount(c, minlength=1 << width)
+        for i in range(g):  # offset a + i reads bits [i, i + k) of the field; alone, the field is its histogram
+            counts += field.reshape(1 << i, -1).sum(axis=0).reshape(1 << block_bits, -1).sum(axis=1) if g > 1 else field
+            if -(-(n_blocks - a - i) // 8) > c.size:  # offset a + i has one window past the field's bytes
+                counts[(int(words[c.size]) >> (32 - a - i - block_bits)) & mask] += 1
+        del field  # one histogram alive at a time, and none during the entropy below
     probs = counts[counts > 0] / n_blocks
     return float(-(probs * np.log(probs)).sum() / block_bits)
 

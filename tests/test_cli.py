@@ -420,6 +420,15 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
 
+    def test_overflowing_file_temperature_exits_one(self, capsys, monkeypatch):
+        # 64 zero bytes carry no energy, so only the file temperature overflows.
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bytes(64))))
+        code, out, err = run_cli(capsys, ["file", "analyze", "--epsilon", "1e300"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_overflowing_computing_rate_exits_one(self, capsys):
         code, out, err = run_cli(capsys, ["compute-bound", "--power", "1e308", "--noise-temp", "1e-300"])
         assert code == 1

@@ -17,6 +17,7 @@ from infotherm.errors import (
 
 BOLTZMANN = 1.380649e-23  # independent copy for oracle arithmetic
 MEGABYTE = 1 << 20
+_MIN_SAMPLES_PER_STATE = 10  # independent copy of the sample-size rule
 
 
 def _entropy_from_counts(counts: np.ndarray, n_blocks: int, block_bits: int) -> float:
@@ -132,6 +133,11 @@ class TestFileTemperature:
         with pytest.raises(DomainError):
             fileinfo.file_temperature(-1e-20)
 
+    def test_overflowing_temperature_rejected(self):
+        assert math.isfinite(fileinfo.file_temperature(3e285))
+        with pytest.raises(DomainError, match="overflows"):
+            fileinfo.file_temperature(4e285)
+
 
 class TestOrderZeroEntropy:
     def test_degenerate_inputs_are_zero(self):
@@ -203,14 +209,41 @@ class TestBlockEntropy:
         data = np.random.default_rng(2020).bytes(1_320_000)  # >= 10 * 2^20 bits
         assert fileinfo.block_entropy(data, 20) == shift_or_block_entropy(data, 20)
 
-    def test_peak_memory_per_input_byte(self, random_megabyte):
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_equals_shift_or_formula_at_every_end_of_input(self, k):
+        # Lengths just above the minimum end the last window of each bit
+        # offset at every position relative to the offset groups' fields.
+        need = -(-_MIN_SAMPLES_PER_STATE * (1 << k) // 8)
+        data = np.random.default_rng(1600 + k).bytes(need + 7)
+        for extra in (0, 1, 2, 3, 7):
+            assert fileinfo.block_entropy(data[: need + extra], k) == shift_or_block_entropy(data[: need + extra], k), extra
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=0, max_value=64),
+        st.sampled_from([0.5, 0.1, 0.01]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_shift_or_formula_over_length_and_k(self, k, extra, ones_fraction, seed):
+        need = -(-_MIN_SAMPLES_PER_STATE * (1 << k) // 8)
+        bits = np.random.default_rng(seed).random(8 * (need + extra)) < ones_fraction
+        data = np.packbits(bits).tobytes()
+        assert fileinfo.block_entropy(data, k) == shift_or_block_entropy(data, k)
+
+    @pytest.mark.parametrize("k", [8, 12, 16])
+    def test_peak_memory_per_input_byte(self, random_megabyte, k):
         tracemalloc.start()
         try:
-            fileinfo.block_entropy(random_megabyte, 16)
+            fileinfo.block_entropy(random_megabyte, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 32 * MEGABYTE
+        if k == 16:
+            # The words and codes (12 MiB), the counts and the entropy's
+            # temporaries; a histogram kept alive past its group adds 0.5 MiB.
+            assert peak <= 13.6 * MEGABYTE
 
 
 class TestCompressionInformation:
