@@ -586,7 +586,9 @@ def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    fmt = os.environ.get(FORMAT_ENV_VAR, "text")
+    fmt = os.environ.get(FORMAT_ENV_VAR) or "text"
+    if fmt not in _RENDERERS:
+        parser.error(f"{FORMAT_ENV_VAR} must be one of {', '.join(_RENDERERS)}, got {fmt!r}")
     if getattr(args, "json", False):
         fmt = "json"
     elif getattr(args, "csv", False):
@@ -599,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _RENDERERS.get(fmt, _render_text)(env, sys.stdout)
+    _RENDERERS[fmt](env, sys.stdout)
     return 0
 
 

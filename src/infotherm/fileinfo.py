@@ -124,12 +124,12 @@ def block_entropy(data: bytes, block_bits: int) -> float:
     group, and the histogram of offset r is the marginal of that field over
     its bits [r-a, r-a+k). Fields are capped at 15 bits because wider
     histograms count more slowly than they save; from k = 15 on, g = 1 and
-    each offset has its own bincount. Offsets in a group end at most one
-    byte apart, so the field covers the bytes where every offset of the
-    group has a window, and each offset's one window past that is added
-    alone. All counts are exact integers. Working memory is about 13 bytes
-    per input byte (the padded copy, the 4-byte words and one reused 8-byte
-    code buffer) plus 8 bytes per state, plus one field histogram of
+    each offset has its own bincount. Every field is counted over all the
+    words, so the counts hold one window per input bit; the k - 1 windows
+    that start in the last k - 1 bits run into the zero padding and are
+    subtracted. All counts are exact integers. Working memory is about 13
+    bytes per input byte (the padded copy, the 4-byte words and one reused
+    8-byte code buffer) plus 8 bytes per state, plus one field histogram of
     8 * 2^(k+g-1) bytes (at most 256 KiB for k <= 15).
     """
     _require_data(data)
@@ -152,15 +152,15 @@ def block_entropy(data: bytes, block_bits: int) -> float:
     for a in range(0, 8, group):
         g = min(group, 8 - a)
         width = block_bits + g - 1
-        c = codes[: -(-(n_blocks - (a + g - 1)) // 8)]  # bytes where every offset of the group has a window
-        np.right_shift(words[: c.size], 32 - a - width, out=c)
-        c &= (1 << width) - 1
-        field = np.bincount(c, minlength=1 << width)
+        np.right_shift(words, 32 - a - width, out=codes)
+        codes &= (1 << width) - 1
+        field = np.bincount(codes, minlength=1 << width)
         for i in range(g):  # offset a + i reads bits [i, i + k) of the field; alone, the field is its histogram
             counts += field.reshape(1 << i, -1).sum(axis=0).reshape(1 << block_bits, -1).sum(axis=1) if g > 1 else field
-            if -(-(n_blocks - a - i) // 8) > c.size:  # offset a + i has one window past the field's bytes
-                counts[(int(words[c.size]) >> (32 - a - i - block_bits)) & mask] += 1
         del field  # one histogram alive at a time, and none during the entropy below
+    tail = int.from_bytes(data[-3:], "big") << block_bits
+    for t in range(1, block_bits):  # the window t bits before the end runs into the padding
+        counts[(tail >> t) & mask] -= 1
     probs = counts[counts > 0] / n_blocks
     return float(-(probs * np.log(probs)).sum() / block_bits)
 

@@ -84,32 +84,9 @@ def _extend(data: bytes, src: int, cur: int, length: int, maxlen: int) -> int:
     return length
 
 
-def _emit_length(out: bytearray, token_pos: int, high_nibble: bool, value: int) -> None:
-    """Write a 0..15(+ext) length code into the token at token_pos."""
-    code = min(value, 15)
-    if high_nibble:
-        out[token_pos] |= code << 4
-    else:
-        out[token_pos] |= code
-    if code == 15:
-        rest = value - 15
-        while rest >= 255:
-            out.append(255)
-            rest -= 255
-        out.append(rest)
-
-
-def _emit(out: bytearray, data: bytes, anchor: int, literal_end: int, match_len: int, offset: int) -> None:
-    """Append one block: the literals data[anchor:literal_end], then the match if any."""
-    token_pos = len(out)
-    out.append(0)
-    _emit_length(out, token_pos, True, literal_end - anchor)
-    out.extend(data[anchor:literal_end])
-    if match_len:
-        stored = offset - 1
-        out.append(stored & 0xFF)
-        out.append(stored >> 8)
-        _emit_length(out, token_pos, False, match_len - MIN_MATCH)
+def _ext(value: int) -> bytes:
+    """Extension bytes of a length code value: none below 15, else (value - 15) // 255 bytes of 255, then the rest."""
+    return b"" if value < 15 else b"\xff" * ((value - 15) // 255) + bytes(((value - 15) % 255,))
 
 
 def _blocks(data: bytes):
@@ -169,13 +146,18 @@ def compress(data: bytes) -> bytes:
     """Compress ``data``; identical input always yields identical output."""
     out = bytearray()
     for anchor, literal_end, match_len, offset in _blocks(data):
-        _emit(out, data, anchor, literal_end, match_len, offset)
+        lit, code = literal_end - anchor, match_len - MIN_MATCH
+        out.append(min(lit, 15) << 4 | (min(code, 15) if match_len else 0))
+        out += _ext(lit)
+        out += data[anchor:literal_end]
+        if match_len:
+            out += (offset - 1).to_bytes(2, "little") + _ext(code)
     return bytes(out)
 
 
 def compressed_size_bits(data: bytes) -> int:
     """Compressed size of ``data`` in bits, added up from the blocks without building them."""
-    # Per block, as _emit writes it: a token, the literals, and for a match two
+    # Per block, as `compress` writes it: a token, the literals, and for a match two
     # offset bytes; a length code value v >= 15 adds (v - 15) // 255 + 1 bytes.
     size = 0
     for anchor, literal_end, match_len, _ in _blocks(data):
@@ -226,11 +208,7 @@ def decompress(blob: bytes) -> bytes:
         start = len(out) - offset
         if start < 0:
             raise DomainError("corrupt stream: match reaches before stream start")
-        if offset >= match_len:
-            out += out[start : start + match_len]
-        else:
-            # Overlapping copy: replicate the trailing `offset` bytes.
-            piece = bytes(out[start:])
-            reps = -(-match_len // offset)
-            out += (piece * reps)[:match_len]
+        # A match longer than its offset overlaps itself: it repeats the offset's bytes.
+        piece = out[start : start + min(offset, match_len)]
+        out += (piece * -(-match_len // len(piece)))[:match_len]
     return bytes(out)

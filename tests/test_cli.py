@@ -197,6 +197,24 @@ class TestFormats:
         assert code == 0
         jsonschema.validate(json.loads(out), SCHEMA)
 
+    @pytest.mark.parametrize("value", ["xml", "JSON", " json"])
+    @pytest.mark.parametrize("flag", [[], ["--json"], ["--csv"]], ids=["no-flag", "json-flag", "csv-flag"])
+    def test_unknown_environment_format_is_a_usage_error(self, capsys, monkeypatch, value, flag):
+        monkeypatch.setenv(cli.FORMAT_ENV_VAR, value)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute-bound", "--power", "1"] + flag)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert cli.FORMAT_ENV_VAR in captured.err and "text, json, csv" in captured.err
+
+    def test_empty_environment_format_is_text(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.FORMAT_ENV_VAR, "")
+        code, out, _ = run_cli(capsys, ["compute-bound", "--power", "1"])
+        assert code == 0
+        assert out.startswith("command: compute-bound")
+
     def test_flags_override_the_environment(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.FORMAT_ENV_VAR, "json")
         code, out, _ = run_cli(capsys, ["compute-bound", "--power", "1", "--csv"])

@@ -209,10 +209,11 @@ class TestBlockEntropy:
         data = np.random.default_rng(2020).bytes(1_320_000)  # >= 10 * 2^20 bits
         assert fileinfo.block_entropy(data, 20) == shift_or_block_entropy(data, 20)
 
-    @pytest.mark.parametrize("k", range(1, 17))
+    @pytest.mark.parametrize("k", range(1, 19))
     def test_equals_shift_or_formula_at_every_end_of_input(self, k):
-        # Lengths just above the minimum end the last window of each bit
-        # offset at every position relative to the offset groups' fields.
+        # Lengths just above the minimum, with every group size and with
+        # single offsets past 16 bits: the k - 1 windows that run into the
+        # padding are subtracted at each of these ends.
         need = -(-_MIN_SAMPLES_PER_STATE * (1 << k) // 8)
         data = np.random.default_rng(1600 + k).bytes(need + 7)
         for extra in (0, 1, 2, 3, 7):

@@ -198,6 +198,13 @@ class TestByteIdentity:
     def test_fixed_tails(self, data):
         assert lz.compress(data) == reference_compress(data)
 
+    @pytest.mark.parametrize("value", [0, 14, 15, 16, 269, 270, 271, 524, 525, 70000])
+    def test_length_extension_matches_reference(self, value):
+        # The reference writes the code into the token at 0, then appends the extension.
+        out = bytearray(1)
+        _reference_emit_length(out, 0, True, value)
+        assert lz._ext(value) == bytes(out[1:])
+
     @pytest.mark.parametrize(
         "kind,digest",
         [
@@ -252,8 +259,11 @@ class TestSizeOnlyConsumer:
 
 #: Equal runs at the edges of _extend: the byte loop ends at 16 bytes, and
 #: chunks of 16, 32, ... 4096 bytes then cover [16, 32), [32, 64), ...,
-#: [4096, 8192), [8192, 12288).
-_RUN_LENGTHS = (3, 4, 15, 16, 17, 31, 32, 33, 63, 64, 65, 4095, 4096, 4097, 8192, 8193, 12289)
+#: [4096, 8192), [8192, 12288). Matches of 18, 19 and 272..274 bytes have
+#: the length codes 15, 16 and 269..271: the first extension byte, and its
+#: rollover at 255.
+_RUN_LENGTHS = (3, 4, 15, 16, 17, 18, 19, 31, 32, 33, 63, 64, 65, 272, 273, 274,
+                4095, 4096, 4097, 8192, 8193, 12289)
 
 
 def _three_copies(older: bytes, newer: bytes, current: bytes) -> bytes:
