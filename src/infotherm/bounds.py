@@ -45,10 +45,15 @@ class EntropyLedger:
 
 
 def carnot_efficiency(t_hot: float, t_cold: float) -> float:
-    """Maximum work fraction extractable between two baths: 1 - T_cold/T_hot."""
+    """Maximum work fraction extractable between two baths: (T_hot - T_cold) / T_hot.
+
+    The difference is exact for T_cold >= T_hot / 2 (Sterbenz), so the
+    result is correctly rounded where 1 - T_cold/T_hot would cancel. A hot
+    bath at +inf gives 1.
+    """
     require_positive(t_cold=t_cold)
     require_above(t_cold, t_hot=t_hot)
-    return 1.0 - t_cold / t_hot
+    return 1.0 if t_hot == math.inf else (t_hot - t_cold) / t_hot
 
 
 def _finite_sum(values, name: str) -> float:

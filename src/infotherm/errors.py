@@ -22,6 +22,10 @@ import sys
 #: Each request is checked against it before anything is allocated.
 MEMORY_BUDGET = 2 * 2**30
 
+#: Most Metropolis steps that one simulation run may take. A run's memory
+#: does not grow with its steps, so this bounds its time instead.
+STEP_BUDGET = 2**31
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -121,3 +125,9 @@ def require_within_budget(nbytes: int, request: str) -> None:
             f"{request} needs about {tenths // 10}.{tenths % 10} GiB of memory, "
             f"more than the budget of {MEMORY_BUDGET // 2**30} GiB"
         )
+
+
+def require_within_step_budget(steps: int, request: str) -> None:
+    """Raise DomainError when ``request`` would take more than STEP_BUDGET steps."""
+    if steps > STEP_BUDGET:
+        raise DomainError(f"{request} takes more than the budget of {STEP_BUDGET} steps per run")

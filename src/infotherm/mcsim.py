@@ -36,24 +36,27 @@ state s to (s & kept) ^ flips (``_chunk_map``), and these maps compose
 exactly, so the run folds them in from the end in windows, the first sized
 so that every site is likely rejected in it (``_first_window``), the next
 ones twice as long up to the chunk size. Once every site has been rejected,
-the earlier steps cannot change the final state and the fold stops. Every
-site index is still drawn, because ``integers`` rejection-samples and the
-acceptance floats start only after the last site; each window's floats are
-then read at their place in the stream by advancing the generator
-(``PCG64.advance``), and the floats of steps that cannot matter are never
+the earlier steps cannot change the final state and the fold stops. The
+acceptance floats start only after the last site, and ``integers``
+rejection-samples, so the run first counts the site stream's rejections on
+the raw 32-bit values without producing any site (``_site_blocks``). That
+locates both the acceptance stream and the raw block that holds any step's
+site. Each window's sites and floats are then drawn at their place in the
+stream by advancing the generator (``PCG64.advance``); the raw site values
+of steps that cannot matter are only counted, and their floats are never
 generated. The ledgers are those of the forward fold, bit for bit. At
 L = 15000 with 1.5e6 steps and b = exp(-1), the fold usually stops within
 the last three chunks.
 
-Memory: a run keeps one compact buffer of site indices, of dtype
-``np.min_scalar_type(L - 1)``: 1 byte per step for L <= 256, 2 for
-L <= 65536 and 4 below 2**32. Everything else is drawn and relaxed in
-chunks or windows of at most max(2**17, L) steps, one at a time, so the rest
-of the working set is O(L + chunk). One L=15000 run of 1.5e6 steps peaks at
-about 4.7 MiB traced, and L=1e6 with 1e8 steps at about 415 MiB. Before
-allocating anything, ``simulate_transfer`` and ``run_ensemble``
-check an upper bound on the memory they need against
-``errors.MEMORY_BUDGET`` (2 GiB) and raise DomainError if it is exceeded.
+Memory: a run reads the raw stream, draws and relaxes in pieces, chunks or
+windows of at most max(2**17, L) steps, one at a time, so its working set is
+O(L + chunk). The only record that grows with steps is one 8-byte count per
+block of 4096 raw values. One L=15000 run of 1.5e6 steps peaks at about
+2.6 MiB traced, and L=1e6 with 1e8 steps at about 39 MiB. Before allocating
+anything, ``simulate_transfer`` and ``run_ensemble`` check an upper bound
+on the memory they need against ``errors.MEMORY_BUDGET`` (2 GiB), and the
+steps of each run against ``errors.STEP_BUDGET`` (2**31), and raise
+DomainError if either is exceeded.
 
 Everything runs on the calling thread; the module starts no threads.
 
@@ -75,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidDistributionError, require_above, require_count, require_finite
-from .errors import require_positive, require_quotient, require_within_budget
+from .errors import require_positive, require_quotient, require_within_budget, require_within_step_budget
 from .quantities import K_B, unit
 from .twolevel import multiplicity_ln, occupation_at, transfer_entropy_delta
 
@@ -86,11 +89,25 @@ _PROB_SUM_TOLERANCE = 1e-12
 _CHUNK_STEPS = 2**17
 
 #: Bytes per site and per chunk step that bound a run's working memory apart
-#: from its site buffer. Per step: one chunk's uint32 site draw, or one
-#: window's float64 acceptance draw with its bool, and the kernel's index,
-#: gather and mask temporaries. Per site: the initial draw and state, the
-#: composed map and the kernel's per-site arrays.
+#: from its block counts. Per step: one piece of raw site values with its
+#: rejection mask, or one window's uint32 sites and float64 acceptance
+#: draw with its bool, and the kernel's index, gather and mask temporaries.
+#: Per site: the initial draw and state, the composed map and the kernel's
+#: per-site arrays.
 _WORK_BYTES = 64
+
+#: Raw 32-bit values per block of the site stream. Even, so that every block
+#: starts on a 64-bit output of the generator.
+_BLOCK_VALUES = 4096
+
+#: Bytes per block of the site stream: its int64 count of the sites before
+#: it, held twice while the pieces' counts are joined.
+_BLOCK_BYTES = 16
+
+#: Bytes per site that a sampler holds at its peak: ``sample_canonical``'s
+#: float64 draw, its bool, the uint8 copy and the configuration's bytes.
+#: ``sample_equilibrium`` holds only the last two.
+_SAMPLE_SITE_BYTES = 11
 
 #: Bytes an ensemble keeps per finished run, rounded up: its ledger, its
 #: entry in the sorted seed list and the row a caller builds from the ledger.
@@ -186,11 +203,13 @@ def sample_equilibrium(length: int, ones: int, seed: int) -> Configuration:
 
     The placement is a Fisher-Yates shuffle (numpy's in-place ``shuffle``) of
     a string with the required ones count, so every arrangement is equally
-    likely and the result is fixed by the seed.
+    likely and the result is fixed by the seed. A sample over
+    ``errors.MEMORY_BUDGET`` raises DomainError before anything is drawn.
     """
     require_count(1, length=length)
     require_count(0, length, ones=ones)
     require_count(0, 2**64 - 1, seed=seed)
+    require_within_budget(_SAMPLE_SITE_BYTES * length, f"a sample of {length} sites")
     arr = np.zeros(length, dtype=np.uint8)
     arr[:ones] = 1
     np.random.default_rng(seed).shuffle(arr)
@@ -201,11 +220,13 @@ def sample_canonical(length: int, temperature: float, bit_energy: float, seed: i
     """Independent per-site draw at the given temperature.
 
     Each site is excited with probability 1 / (1 + exp(bit_energy / k_B T)),
-    so the mean ones count matches the equilibrium occupation law.
+    so the mean ones count matches the equilibrium occupation law. A sample
+    over ``errors.MEMORY_BUDGET`` raises DomainError before anything is drawn.
     """
     require_count(1, length=length)
     prob = occupation_at(1, temperature, bit_energy)
     require_count(0, 2**64 - 1, seed=seed)
+    require_within_budget(_SAMPLE_SITE_BYTES * length, f"a sample of {length} sites")
     draws = np.random.default_rng(seed).random(length)
     return Configuration((draws < prob).astype(np.uint8).tobytes())
 
@@ -245,9 +266,13 @@ def _chunk_steps(length: int) -> int:
 
 
 def _relax_bytes(length: int, steps: int) -> int:
-    """Upper bound, in bytes, on the memory of one run: the site buffer plus one chunk's work."""
-    site_bytes = np.min_scalar_type(max(length - 1, 0)).itemsize
-    return steps * site_bytes + _WORK_BYTES * (length + _chunk_steps(length))
+    """Upper bound, in bytes, on the memory of one run: one chunk's work plus the block counts.
+
+    numpy rejects fewer than half of the raw values on average at any L, so
+    a run's sites take at most about 2 * steps / 4096 blocks.
+    """
+    blocks = 2 * steps // _BLOCK_VALUES + 2
+    return _WORK_BYTES * (length + _chunk_steps(length)) + _BLOCK_BYTES * blocks
 
 
 def _first_window(length: int, accept_probability: float) -> int:
@@ -267,43 +292,85 @@ def _first_window(length: int, accept_probability: float) -> int:
     return min(chunk, max(1, math.ceil(math.log(16 * length) / -math.log1p(-reject))))
 
 
+def _site_blocks(bits: np.random.PCG64, length: int, steps: int, piece: int) -> tuple[np.ndarray, int]:
+    """The sites drawn before each block of the site stream, and the 64-bit outputs the stream takes.
+
+    ``integers(0, L, dtype=np.uint32)`` is numpy's bounded 32-bit path,
+    Lemire's multiply-and-reject method: a raw 32-bit value x (the low half
+    of each 64-bit output first) is rejected when (x * L) mod 2**32 is below
+    (2**32 - L) mod L, and otherwise gives the site (x * L) >> 32. So
+    counting the rejections in each block of ``_BLOCK_VALUES`` raw values
+    locates every step's site without producing any. The raw values are
+    read from ``bits`` in pieces of at most ``piece`` values, rounded to
+    whole blocks, and none is kept. L = 1 draws nothing, so its blocks take
+    no raw values.
+    """
+    if length == 1:
+        return np.arange(0, steps, _BLOCK_VALUES), 0
+    threshold = (2**32 - length) % length
+    piece = max(_BLOCK_VALUES, piece - piece % _BLOCK_VALUES)
+    starts, drawn, words = [np.zeros(0, dtype=np.int64)], 0, 0
+    while drawn < steps:
+        size = min(piece, -(-(steps - drawn) // _BLOCK_VALUES) * _BLOCK_VALUES)
+        raw = bits.random_raw(size // 2).astype("<u8", copy=False).view("<u4")
+        rejected = np.flatnonzero(np.multiply(raw, np.uint32(length), out=raw) < threshold)
+        rejects = np.bincount(rejected // _BLOCK_VALUES, minlength=size // _BLOCK_VALUES)
+        starts.append(drawn + _BLOCK_VALUES * np.arange(rejects.size) - np.cumsum(rejects) + rejects)
+        # rejected[i] - i sites come before the i-th rejection, so k rejections
+        # come before the run's last site (all of them if it lies further on).
+        k = int(np.searchsorted(rejected - np.arange(rejected.size), steps - drawn - 1, side="right"))
+        values = min(size, steps - drawn + k)
+        drawn, words = drawn + values - k, words + (values + 1) // 2
+    return np.concatenate(starts), words
+
+
+def _draw_sites(
+    rng: np.random.Generator, site_stream: dict, starts: np.ndarray, length: int, start: int, stop: int
+) -> np.ndarray:
+    """The sites of steps [start, stop), given the site stream's state and ``_site_blocks``'s starts.
+
+    ``integers`` itself draws them, from the start of the block that holds
+    step ``start``; the leading sites of that block are dropped.
+    """
+    block = int(np.searchsorted(starts, start, side="right")) - 1
+    skip = start - int(starts[block])
+    rng.bit_generator.state = site_stream
+    rng.bit_generator.advance(block * _BLOCK_VALUES // 2)
+    return rng.integers(0, length, size=skip + stop - start, dtype=np.uint32)[skip:]
+
+
 def _relax(
     length: int, prob_hot: float, accept_probability: float, steps: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial and final state of one run, drawn in the protocol's order.
 
-    All site indices are drawn before any acceptance float. ``integers``
-    rejection-samples, so its raw-draw count depends on the data and the
-    acceptance stream's start is known only once every site is drawn. The
-    sites therefore go into one compact buffer, drawn in chunks; a uint32
-    draw is numpy's bounded 32-bit path, and the bit generator holds its
-    half-word buffer, so the chunks yield the same numbers as one call.
+    All site indices are drawn before any acceptance float, so the run first
+    counts the site stream's rejections (``_site_blocks``). That gives the
+    acceptance stream's start and the block that holds any step's site.
 
     The chunk maps are then folded in from the last step backwards (module
     docstring): a window's map is applied before the maps of the steps after
-    it, and the fold stops once no site is kept. Each acceptance float is one
-    64-bit output of the generator, so a window's floats are drawn after
-    resetting the generator to the acceptance stream's start and advancing
-    it past the steps before the window.
+    it, and the fold stops once no site is kept. A window's sites are
+    redrawn by ``_draw_sites``. Each acceptance float is one 64-bit output
+    of the generator, so a window's floats are drawn after advancing from
+    the acceptance stream's start past the steps before the window.
     """
     rng = np.random.default_rng(seed)
     initial = rng.random(length) < prob_hot
     chunk = _chunk_steps(length)
-    sites = np.empty(steps, dtype=np.min_scalar_type(length - 1))
-    for start in range(0, steps, chunk):
-        part = sites[start:start + chunk]
-        part[:] = rng.integers(0, length, size=part.size, dtype=np.uint32)
     bits = rng.bit_generator
-    accept_stream = bits.state
+    site_stream = bits.state
+    starts, words = _site_blocks(bits, length, steps, chunk)
     # (kept, flips) is the map of steps [stop, steps): the identity to begin with.
     kept, flips = np.ones(length, dtype=bool), np.zeros(length, dtype=bool)
     stop, window = steps, _first_window(length, accept_probability)
     while stop > 0 and kept.any():
         start = max(0, stop - window)
-        bits.state = accept_stream
-        bits.advance(start)
+        sites = _draw_sites(rng, site_stream, starts, length, start, stop)
+        bits.state = site_stream
+        bits.advance(words + start)
         accepts = rng.random(stop - start) < accept_probability
-        window_kept, window_flips = _chunk_map(sites[start:stop], accepts, length)
+        window_kept, window_flips = _chunk_map(sites, accepts, length)
         # The window's steps come first, so the later steps' kept masks its flips.
         flips ^= window_flips & kept
         kept &= window_kept
@@ -322,8 +389,9 @@ def simulate_transfer(
     """Prepare a gas hot, relax it cold, and account for the entropy.
 
     For reliable relaxation use steps >= 100 * length. ``steps = 0`` returns
-    the prepared state unchanged. A run whose memory bound (module docstring)
-    exceeds ``errors.MEMORY_BUDGET`` raises DomainError before anything is
+    the prepared state unchanged. A run of more than ``errors.STEP_BUDGET``
+    steps, or whose memory bound (module docstring) exceeds
+    ``errors.MEMORY_BUDGET``, raises DomainError before anything is
     allocated, and so does a ratio bit_energy / k_B T_cold that overflows.
     """
     require_count(1, length=length)
@@ -333,7 +401,9 @@ def simulate_transfer(
     require_count(0, 2**64 - 1, seed=seed)
 
     prob_hot = occupation_at(1, t_hot, bit_energy)
-    require_within_budget(_relax_bytes(length, steps), f"a run of L={length} with {steps} steps")
+    request = f"a run of L={length} with {steps} steps"
+    require_within_step_budget(steps, request)
+    require_within_budget(_relax_bytes(length, steps), request)
     exponent = require_quotient(f"the ratio of {bit_energy} J to k_B times {t_cold} K", bit_energy, K_B * t_cold)
     initial, final = _relax(length, prob_hot, math.exp(-exponent), steps, seed)
 
@@ -384,8 +454,8 @@ def run_ensemble(
 ) -> list[SimLedger]:
     """Independent runs over the given seeds, in seed order.
 
-    Every seed, and the memory of the whole ensemble, is checked before the
-    first run starts.
+    Every seed, the steps of one run and the memory of the whole ensemble
+    are checked before the first run starts.
     """
     try:
         runs = len(seeds)
@@ -393,6 +463,7 @@ def run_ensemble(
         raise DomainError(f"an ensemble of more than {sys.maxsize} runs is over the memory budget") from None
     require_count(1, length=length)
     require_count(0, steps=steps)
+    require_within_step_budget(steps, f"an ensemble of runs with {steps} steps")
     require_within_budget(runs * _RUN_BYTES + _relax_bytes(length, steps), f"an ensemble of {runs} runs")
     for seed in seeds:
         require_count(0, 2**64 - 1, seed=seed)

@@ -22,6 +22,7 @@ from a hot bath to a cold one, charging the full gas energy to both baths
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, require_above, require_count, require_positive, require_quotient, require_result
@@ -178,8 +179,11 @@ def occupation_at(length: int, temperature: float, bit_energy: float) -> float:
     require_above(0, temperature=temperature)
     require_positive(bit_energy=bit_energy)
     x = require_quotient(f"the ratio of {bit_energy} J to k_B times {temperature} K", bit_energy, K_B * temperature)
-    # exp(-x) never overflows for x > 0; underflow to 0 is the correct limit.
+    # exp(-x) never overflows for x > 0. Where it is subnormal it has lost
+    # digits, and 1 + exp(-x) rounds to 1, so L exp(-x) is taken in one exp.
     boltzmann = math.exp(-x)
+    if boltzmann < sys.float_info.min:
+        return math.exp(math.log(length) - x)
     return length * boltzmann / (1.0 + boltzmann)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,33 @@ class TestCarnot:
         t_hot = t_cold + boost
         assert carnot_efficiency(t_hot * factor, t_cold) > carnot_efficiency(t_hot, t_cold)
         assert carnot_efficiency(t_hot, t_cold / factor) > carnot_efficiency(t_hot, t_cold)
+
+    @staticmethod
+    def assert_within_two_ulps(t_hot, t_cold):
+        """The difference rounds (unless T_cold >= T_hot / 2) and so does the quotient."""
+        value = carnot_efficiency(t_hot, t_cold)
+        exact = (Fraction(t_hot) - Fraction(t_cold)) / Fraction(t_hot)
+        assert abs(Fraction(value) - exact) <= 2 * Fraction(math.ulp(value))
+
+    def test_no_cancellation_as_temperatures_meet(self):
+        # 1 - T_c/T_h was 4.3% off here.
+        t_hot, t_cold = 244.78479391358252, 244.7847939135822
+        exact = (Fraction(t_hot) - Fraction(t_cold)) / Fraction(t_hot)
+        assert carnot_efficiency(t_hot, t_cold) == float(exact)
+
+    @given(
+        t_hot=st.floats(min_value=1e-300, max_value=1e300),
+        ratio=st.one_of(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+                        st.integers(min_value=1, max_value=2**20).map(lambda n: 1.0 - n * 2**-53)),
+    )
+    @settings(max_examples=500)
+    def test_within_two_ulps_of_the_exact_quotient(self, t_hot, ratio):
+        t_cold = t_hot * ratio
+        if 0 < t_cold < t_hot:
+            self.assert_within_two_ulps(t_hot, t_cold)
+
+    def test_an_infinitely_hot_bath_gives_one(self):
+        assert carnot_efficiency(math.inf, 300.0) == 1.0
 
     @pytest.mark.parametrize("t_hot,t_cold", [(300.0, 300.0), (200.0, 300.0), (300.0, 0.0), (300.0, -1.0)])
     def test_domain_errors(self, t_hot, t_cold):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from infotherm import mcsim, twolevel
-from infotherm.errors import MEMORY_BUDGET, DomainError, InvalidDistributionError
+from infotherm.errors import STEP_BUDGET, DomainError, InvalidDistributionError
 from infotherm.mcsim import (
     ConfigDistribution,
     Configuration,
@@ -164,6 +164,11 @@ class TestSampleEquilibrium:
         with pytest.raises(DomainError):
             sample_equilibrium(10, 11, 0)
 
+    def test_huge_length_is_rejected_before_allocating(self):
+        with traced() as peak, pytest.raises(DomainError, match="budget"):
+            sample_equilibrium(10**12, 5, 0)
+        assert peak[0] < 2**20
+
 
 class TestSampleCanonical:
     def test_deep_cold_is_all_zeros(self):
@@ -190,6 +195,11 @@ class TestSampleCanonical:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(DomainError):
             sample_canonical(10, 0.0, BIT_ENERGY, 0)
+
+    def test_huge_length_is_rejected_before_allocating(self):
+        with traced() as peak, pytest.raises(DomainError, match="budget"):
+            sample_canonical(10**12, 300.0, BIT_ENERGY, 0)
+        assert peak[0] < 2**20
 
 
 class TestHFunction:
@@ -494,17 +504,65 @@ class TestStreamedRelaxation:
             assert uint32_rng.bit_generator.state == whole_rng.bit_generator.state
         assert whole_rng.random() == piece_rng.random()
 
-    @pytest.mark.parametrize("length,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
-                                              (65536, np.uint16), (65537, np.uint32)])
-    def test_budget_charges_one_compact_index_per_step(self, length, dtype):
-        assert mcsim._relax_bytes(length, 10**6) - mcsim._relax_bytes(length, 0) == 10**6 * np.dtype(dtype).itemsize
+    @pytest.mark.parametrize("length", [1, 256, 257, 65536, 65537])
+    def test_budget_grows_with_steps_only_by_the_block_counts(self, length):
+        growth = mcsim._relax_bytes(length, 10**6) - mcsim._relax_bytes(length, 0)
+        assert growth == 2 * 10**6 // mcsim._BLOCK_VALUES * mcsim._BLOCK_BYTES  # 7.8 kB, not one index per step
+
+
+class TestSiteBlocks:
+    """Counting the site stream's rejections on the raw words must locate numpy's own bounded draws.
+
+    If numpy changes its bounded 32-bit algorithm, these fail instead of the
+    ledgers changing silently.
+    """
+
+    @staticmethod
+    def check(length, steps, seed, piece):
+        """Windows of sites redrawn from the counts, and the floats after the sites, equal one plain draw's."""
+        rng = np.random.default_rng(seed)
+        expected = rng.integers(0, length, size=steps, dtype=np.uint32)
+        floats = rng.random(5)
+        rng = np.random.default_rng(seed)
+        site_stream = rng.bit_generator.state
+        starts, words = mcsim._site_blocks(rng.bit_generator, length, steps, piece)
+        for start, stop in [(0, steps), (steps // 3, steps), (max(0, steps - 3), steps), (steps // 2, steps // 2 + 1)]:
+            if start < stop <= steps:
+                window = mcsim._draw_sites(rng, site_stream, starts, length, start, stop)
+                assert window.dtype == np.uint32
+                assert np.array_equal(window, expected[start:stop]), (start, stop)
+        rng.bit_generator.state = site_stream
+        rng.bit_generator.advance(words)
+        assert np.array_equal(rng.random(5), floats)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 256, 1000, 15000, 65536, 2**31 + 11, 2**32 - 5])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 5, 1001, 4095, 4096, 4097])
+    def test_grid(self, length, steps):
+        for seed in (0, 77, 2**64 - 1):
+            for piece in (1, 4097, mcsim._CHUNK_STEPS):
+                self.check(length, steps, seed, piece)
+
+    @given(
+        length=st.one_of(st.integers(min_value=1, max_value=2**32 - 1), st.integers(min_value=1, max_value=300)),
+        steps=st.integers(min_value=0, max_value=9000),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        piece=st.sampled_from([1, 7, 4097, mcsim._CHUNK_STEPS]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_lengths_and_seeds(self, length, steps, seed, piece):
+        self.check(length, steps, seed, piece)
+
+    def test_many_rejections_span_pieces(self):
+        # Near L = 2**31 + 1 about half the raw values are rejected, so the
+        # steps end several blocks past steps / 4096.
+        self.check(2**31 + 1, 3 * 4096 + 5, 9, 4096)
 
 
 class TestMemoryBudget:
     def test_one_benchmark_sized_run_stays_small(self):
         with traced() as peak:
             simulate_transfer(15000, 2 * T_HALF, T_HALF, BIT_ENERGY, 1_500_000, 4)
-        assert peak[0] < 16 * 2**20  # measured 4.7 MiB; the single-shot path took 43 MiB
+        assert peak[0] < 16 * 2**20  # measured 2.6 MiB; a site buffer took 4.7 MiB, the single-shot path 43 MiB
 
     @pytest.mark.parametrize("length,steps", [(1000, 10**6), (70000, 3 * 10**5), (2**18, 2**18), (15000, 0),
                                               (15000, 1_500_000), (1, 5 * 2**17 + 1)])
@@ -532,10 +590,20 @@ class TestMemoryBudget:
 
     def test_largest_run_within_budget_is_accepted_by_the_check(self, monkeypatch):
         monkeypatch.setattr(mcsim, "_relax", lambda length, *args: (np.zeros(length, bool),) * 2)
-        steps = (MEMORY_BUDGET - mcsim._relax_bytes(1000, 0)) // 2
-        assert simulate_transfer(1000, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, 0).steps == steps
+        assert simulate_transfer(1000, 2 * T_HALF, T_HALF, BIT_ENERGY, STEP_BUDGET, 0).steps == STEP_BUDGET
         with pytest.raises(DomainError, match="budget"):
-            simulate_transfer(1000, 2 * T_HALF, T_HALF, BIT_ENERGY, steps + 1, 0)
+            simulate_transfer(1000, 2 * T_HALF, T_HALF, BIT_ENERGY, STEP_BUDGET + 1, 0)
+        with pytest.raises(DomainError, match="budget"):
+            run_ensemble(1000, 2 * T_HALF, T_HALF, BIT_ENERGY, STEP_BUDGET + 1, range(2))
+
+    def test_the_traced_peak_does_not_grow_with_steps(self):
+        peaks = []
+        for steps in (10**5, 10**7):
+            with traced() as peak:
+                simulate_transfer(1000, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, 6)
+            peaks += peak
+        # Measured 0.5 and 1.0 MiB; a buffer of one site per step took 19.6 MiB at 1e7 steps.
+        assert peaks[1] - peaks[0] < 2**20
 
     @pytest.mark.parametrize("seeds", [range(10**12), range(10**20), range(2**64 - 10**12, 2**64 + 5)])
     def test_over_budget_ensemble_is_rejected_before_any_run(self, monkeypatch, seeds):

@@ -197,6 +197,43 @@ class TestOccupation:
         back = occupation_at(length, temp.kelvin, bit_energy)
         assert back == pytest.approx(ones, rel=1e-9)
 
+    @staticmethod
+    def assert_near_the_exact_law(length, temperature, bit_energy):
+        """Within (x + 4) 2**-52 relative of L / (1 + exp(x)) at 50 digits, x = bit_energy / k_B T.
+
+        x itself is rounded twice, which alone costs x 2**-52.
+        """
+        value = occupation_at(length, temperature, bit_energy)
+        with decimal.localcontext(decimal.Context(prec=50)):
+            x = decimal.Decimal(bit_energy) / (decimal.Decimal(BOLTZMANN) * decimal.Decimal(temperature))
+            exact = decimal.Decimal(length) / (1 + x.exp())
+            error = abs(decimal.Decimal(value) - exact)
+            assert error <= decimal.Decimal((float(x) + 4) * 2**-52) * exact + decimal.Decimal(math.ulp(0.0))
+
+    @pytest.mark.parametrize("length,temperature,bit_energy", [
+        (10**15, 1.0, 1.02168026e-20),  # printed 4.19956e-307 against 4.188740e-307
+        (10**15, 1.0, 745 * BOLTZMANN),  # printed 4.94e-309 against 2.82e-309
+        (10**300, 1.0, 1e-20),  # exp(-x) underflows to 0
+        (1000, 300.0, 1e-20),
+    ], ids=["subnormal-boltzmann", "smallest-boltzmann", "boltzmann-underflows", "ordinary"])
+    def test_edges_against_the_exact_law(self, length, temperature, bit_energy):
+        self.assert_near_the_exact_law(length, temperature, bit_energy)
+
+    @given(
+        length=st.one_of(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**300)),
+        temperature=st.floats(min_value=1e-3, max_value=1e6),
+        x=st.one_of(st.floats(min_value=1e-6, max_value=800.0), st.floats(min_value=700.0, max_value=750.0)),
+    )
+    @settings(max_examples=300)
+    def test_near_the_exact_law(self, length, temperature, x):
+        self.assert_near_the_exact_law(length, temperature, x * BOLTZMANN * temperature)
+
+    def test_below_the_subnormal_edge_every_digit_stands(self):
+        # Where exp(-x) is normal the result is L b / (1 + b) as before.
+        for length, temperature, bit_energy in [(1000, 300.0, 1e-20), (10**15, 1.0, 700 * BOLTZMANN)]:
+            boltzmann = math.exp(-bit_energy / (BOLTZMANN * temperature))
+            assert occupation_at(length, temperature, bit_energy) == length * boltzmann / (1.0 + boltzmann)
+
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(DomainError):
             occupation_at(100, 0.0, 1e-20)
