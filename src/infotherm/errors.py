@@ -22,8 +22,9 @@ import sys
 #: Each request is checked against it before anything is allocated.
 MEMORY_BUDGET = 2 * 2**30
 
-#: Most Metropolis steps that one simulation run may take. A run's memory
-#: does not grow with its steps, so this bounds its time instead.
+#: Most Metropolis steps that one simulation run, or all the runs of one
+#: ensemble, may take. A run's memory does not grow with its steps, so this
+#: bounds its time instead.
 STEP_BUDGET = 2**31
 
 
@@ -130,4 +131,4 @@ def require_within_budget(nbytes: int, request: str) -> None:
 def require_within_step_budget(steps: int, request: str) -> None:
     """Raise DomainError when ``request`` would take more than STEP_BUDGET steps."""
     if steps > STEP_BUDGET:
-        raise DomainError(f"{request} takes more than the budget of {STEP_BUDGET} steps per run")
+        raise DomainError(f"{request} takes more than the budget of {STEP_BUDGET} steps")

@@ -12,9 +12,11 @@ Frozen parameters
 - parsing: greedy, with step acceleration through long literal runs
   (after every 64 consecutive match misses the scan step grows by one byte)
 - match search: exact 3-byte key table, at most 16 remembered positions per
-  key, most recent first; only scanned positions are inserted. The first
-  candidate in the window is measured from its third byte on, since the key
-  already matched. Once a match of length best_len is found, a later
+  key, most recent first; only scanned positions are inserted. A key never
+  scanned before is a miss with no search, and its table entry holds its bare
+  position until its second scan turns it into a list. The first candidate
+  in the window is measured from its third byte on, since the key already
+  matched. Once a match of length best_len is found, a later
   candidate is measured only if it is sure to win: its byte at offset
   best_len and its first best_len bytes must equal the current position's,
   so it is at least best_len + 1 long and extension starts there. The search
@@ -97,39 +99,48 @@ def _blocks(data: bytes):
     in a final literals-only block).
     """
     n = len(data)
-    table: dict[bytes, list[int]] = {}
+    table: dict[bytes, int | list[int]] = {}  # one scanned position, or up to MAX_CANDIDATES
+    get = table.get
+    last = n - MIN_MATCH
     i = 0
     anchor = 0
     misses = 0
 
-    while i + MIN_MATCH <= n:
+    while i <= last:
         key = data[i : i + MIN_MATCH]
-        candidates = table.get(key)
+        candidates = get(key)
+        if candidates is None:  # a new key: a miss, with nothing to search
+            table[key] = i
+            i += 1 + (misses >> SKIP_SHIFT)
+            misses += 1
+            continue
+        if isinstance(candidates, int):  # the key's second scan
+            candidates = table[key] = [candidates]
         best_len = 0
-        best_off = 0
-        if candidates:
-            maxlen = n - i
-            for cand in reversed(candidates):
-                if i - cand > WINDOW_SIZE:
-                    break  # positions are stored in increasing order
-                if not best_len:
-                    best_len = _extend(data, cand, i, MIN_MATCH, maxlen)  # the key holds 3 equal bytes
-                elif data[cand + best_len] == next_byte and data[cand : cand + best_len] == data[i : i + best_len]:
-                    best_len = _extend(data, cand, i, best_len + 1, maxlen)  # strictly longer, so it wins
-                else:
-                    continue
+        lo = i - WINDOW_SIZE
+        maxlen = n - i
+        older = reversed(candidates)  # positions are stored in increasing order
+        for cand in older:  # the newest candidate
+            if cand >= lo:
+                best_len = _extend(data, cand, i, MIN_MATCH, maxlen)  # the key holds 3 equal bytes
                 best_off = i - cand
-                if best_len == maxlen:
-                    break  # no longer match fits
-                next_byte = data[i + best_len]
-        if candidates is None:
-            table[key] = [i]
-        else:
-            candidates.append(i)
-            if len(candidates) > MAX_CANDIDATES:
-                del candidates[0]
+            break
+        if 0 < best_len < maxlen:
+            next_byte = data[i + best_len]
+            for cand in older:  # older candidates, measured only if sure to win
+                if cand < lo:
+                    break
+                if data[cand + best_len] == next_byte and data[cand : cand + best_len] == data[i : i + best_len]:
+                    best_len = _extend(data, cand, i, best_len + 1, maxlen)  # strictly longer, so it wins
+                    best_off = i - cand
+                    if best_len == maxlen:
+                        break  # no longer match fits
+                    next_byte = data[i + best_len]
+        candidates.append(i)
+        if len(candidates) > MAX_CANDIDATES:
+            del candidates[0]
 
-        if best_len >= MIN_MATCH:
+        if best_len:
             yield anchor, i, best_len, best_off
             i += best_len
             anchor = i

@@ -55,8 +55,8 @@ block of 4096 raw values. One L=15000 run of 1.5e6 steps peaks at about
 2.6 MiB traced, and L=1e6 with 1e8 steps at about 39 MiB. Before allocating
 anything, ``simulate_transfer`` and ``run_ensemble`` check an upper bound
 on the memory they need against ``errors.MEMORY_BUDGET`` (2 GiB), and the
-steps of each run against ``errors.STEP_BUDGET`` (2**31), and raise
-DomainError if either is exceeded.
+steps they take, over all the runs of an ensemble, against
+``errors.STEP_BUDGET`` (2**31), and raise DomainError if either is exceeded.
 
 Everything runs on the calling thread; the module starts no threads.
 
@@ -454,8 +454,8 @@ def run_ensemble(
 ) -> list[SimLedger]:
     """Independent runs over the given seeds, in seed order.
 
-    Every seed, the steps of one run and the memory of the whole ensemble
-    are checked before the first run starts.
+    Every seed, and the steps and memory of the whole ensemble, are checked
+    before the first run starts.
     """
     try:
         runs = len(seeds)
@@ -463,7 +463,7 @@ def run_ensemble(
         raise DomainError(f"an ensemble of more than {sys.maxsize} runs is over the memory budget") from None
     require_count(1, length=length)
     require_count(0, steps=steps)
-    require_within_step_budget(steps, f"an ensemble of runs with {steps} steps")
+    require_within_step_budget(runs * steps, f"an ensemble of {runs} runs of {steps} steps")
     require_within_budget(runs * _RUN_BYTES + _relax_bytes(length, steps), f"an ensemble of {runs} runs")
     for seed in seeds:
         require_count(0, 2**64 - 1, seed=seed)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,77 @@ class TestExtendEdges:
             assert length == (best[cur] + 1 if cur in best else lz.MIN_MATCH)
             best[cur] = result
         assert len(calls) > len(best)  # some later candidates won
+
+
+def _miss_scans(n: int) -> list[int]:
+    """The positions a scan of n bytes visits while every key is new."""
+    scans, i, misses = [], 0, 0
+    while i + lz.MIN_MATCH <= n:
+        scans.append(i)
+        i += 1 + (misses >> lz.SKIP_SHIFT)
+        misses += 1
+    return scans
+
+
+#: Seeded so that no two keys at the miss scans repeat: a scan of a prefix of
+#: _NOISE visits exactly _SCANS, with the step growing after every 64 misses.
+_NOISE = np.random.default_rng(1717).bytes(80000)
+_SCANS = _miss_scans(len(_NOISE))
+
+
+class TestTableStates:
+    """Byte identity where a key's table entry is new, a bare position, or a list."""
+
+    @pytest.mark.parametrize("distance", [65536, 65537])
+    def test_strided_singleton_at_the_window_edge(self, distance):
+        # The repeat at q finds the key of one earlier scan p, made after the
+        # step had grown, at exactly the window's reach or one byte past it.
+        q = next(q for q in _SCANS if q - distance in _SCANS[2 << lz.SKIP_SHIFT :])
+        p = q - distance
+        data = _NOISE[:q] + _NOISE[p : p + 40]
+        _assert_matches_reference(data)
+        expected = (0, q, 40, distance) if distance == 65536 else (0, len(data), 0, 0)
+        assert list(lz._blocks(data)) == [expected]
+
+    @pytest.mark.parametrize("offset", [65536, 65537])
+    def test_promoted_key_at_the_window_edge(self, offset):
+        # The key r[:3] is scanned at 0, then at 104, where it becomes a list and
+        # matches; its third scan is `offset` bytes after the second.
+        r = _random_string(40, seed=11)
+        data = r + b"\x00" * 64 + r + b"\x00" * (offset - 40) + r
+        _assert_matches_reference(data)
+        current = 104 + offset
+        expected = (current, current, 40, offset) if offset == 65536 else (current, len(data), 0, 0)
+        assert list(lz._blocks(data))[-1] == expected
+
+    @pytest.mark.parametrize("tail", ["new", "repeat"])
+    def test_miss_run_ending_at_the_last_key(self, tail):
+        # The miss scans run up to exactly n - MIN_MATCH, whose key is new or
+        # repeats an earlier strided scan.
+        q, p = _SCANS[200], _SCANS[100]
+        data = _NOISE[:q] + (_NOISE[q : q + 3] if tail == "new" else _NOISE[p : p + 3])
+        _assert_matches_reference(data)
+        expected = (0, len(data), 0, 0) if tail == "new" else (0, q, 3, q - p)
+        assert list(lz._blocks(data)) == [expected]
+
+    @given(st.integers(min_value=0, max_value=70000), st.integers(min_value=1, max_value=66000))
+    @settings(max_examples=30, deadline=None)
+    def test_planted_repeat_over_prefix_and_distance(self, prefix, distance):
+        # Bytes of the last miss scan at least `distance` back are repeated at `prefix`.
+        source = max((p for p in _SCANS if p <= prefix - distance), default=0)
+        _assert_matches_reference(_NOISE[:prefix] + _NOISE[source : source + 12])
+
+    def test_traced_peak_on_random_megabyte(self):
+        # Nearly every key of random input is scanned once and holds a bare
+        # position: measured 1.55 MiB, against 2.21 MiB when every key held a list.
+        data = np.random.default_rng(2006).bytes(MEGABYTE)
+        tracemalloc.start()
+        try:
+            lz.compressed_size_bits(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.9 * MEGABYTE
 
 
 class TestRatios:

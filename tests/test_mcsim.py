@@ -596,6 +596,17 @@ class TestMemoryBudget:
         with pytest.raises(DomainError, match="budget"):
             run_ensemble(1000, 2 * T_HALF, T_HALF, BIT_ENERGY, STEP_BUDGET + 1, range(2))
 
+    def test_ensemble_steps_are_bounded_over_all_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mcsim, "simulate_transfer", lambda *args: calls.append(args))
+        run_ensemble(1000, 2 * T_HALF, T_HALF, BIT_ENERGY, STEP_BUDGET // 4, range(4))
+        assert len(calls) == 4
+        for steps, seeds in [(STEP_BUDGET // 4 + 1, range(4)), (2 * 10**9, range(500000)), (10**9, range(100))]:
+            with pytest.raises(DomainError, match="budget") as refused:
+                run_ensemble(1000, 2 * T_HALF, T_HALF, BIT_ENERGY, steps, seeds)
+            assert "per run" not in str(refused.value)
+        assert len(calls) == 4
+
     def test_the_traced_peak_does_not_grow_with_steps(self):
         peaks = []
         for steps in (10**5, 10**7):
