@@ -10,7 +10,7 @@ and a seed-reproducible Monte Carlo verifier of the second law.
 
 Only the file analysis and the simulation need numpy. ``mcsim`` and its
 names below are loaded on first access (PEP 562), and ``fileinfo`` imports
-numpy inside ``block_entropy``, so importing the package or running a
+numpy inside the functions that count, so importing the package or running a
 closed-form calculator never loads numpy.
 """
 

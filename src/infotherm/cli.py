@@ -39,7 +39,7 @@ import os
 import sys
 
 from . import bounds, broadcast, fileinfo, twolevel
-from .errors import DomainError, require_count, require_positive, require_within_budget
+from .errors import DomainError, require_count, require_positive, require_within_budget, require_within_step_budget
 from .quantities import bits_to_nats, convert_information, entropy_si_to_nats
 
 FORMAT_ENV_VAR = "INFOTHERM_FORMAT"
@@ -456,8 +456,7 @@ def _clausius(args, env: Envelope) -> None:
 def _simulate(args, env: Envelope) -> None:
     from . import mcsim  # here, so that the calculator commands never import numpy
 
-    if args.steps is None:
-        args.steps = 100 * args.L
+    args.steps = _simulate_steps(args)
     if args.ensemble is None:
         env.add_results(mcsim.simulate_transfer(args.L, args.t_hot, args.t_cold, args.epsilon, args.steps, args.seed))
         return
@@ -466,6 +465,11 @@ def _simulate(args, env: Envelope) -> None:
     fields = _reported_fields(mcsim.SimLedger)
     env.add("runs", [{name: getattr(led, name) for name, _ in fields} for led in ledgers])
     env.add_results(mcsim.ensemble_summary(ledgers))
+
+
+def _simulate_steps(args) -> int:
+    """The steps of each run of a simulate command: --steps, or 100 * L by default."""
+    return 100 * args.L if args.steps is None else args.steps
 
 
 # --------------------------------------------------------------------------
@@ -567,6 +571,12 @@ def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
             swept.parse(repr(value))
         except argparse.ArgumentTypeError as exc:
             parser.error(f"argument {flag}: {exc}")
+    if leaf == "simulate":  # the steps of every run of every point, checked before the first one runs
+        total = 0
+        for value in values:
+            sub_args = parser.parse_args(target + [flag, repr(value)])
+            total += _simulate_steps(sub_args) * (1 if sub_args.ensemble is None else sub_args.ensemble)
+        require_within_step_budget(total, f"a sweep of {len(values)} simulate points")
     rows = []
     header: list[str] | None = None
     for value in values:

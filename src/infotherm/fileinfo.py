@@ -19,6 +19,11 @@ carries less information. A file is "in equilibrium" when it is
 incompressible (equilibrium score >= 0.95).
 
 Bit order within a byte is most-significant-bit first everywhere.
+
+The ones count is a popcount of the input's 8-byte words; its temporary is
+one byte per 8 input bytes. Block entropy reads the input in fixed pieces
+of 64 KiB, so its temporaries are O(piece + 2^(k+g-1)) bytes whatever the
+input length (see ``block_entropy``).
 """
 
 import math
@@ -37,6 +42,9 @@ EQUILIBRIUM_THRESHOLD = 0.95
 
 #: Minimum sample factor for block entropy: need at least 10 * 2^k bits.
 _MIN_SAMPLES_PER_STATE = 10
+
+#: Input bytes block entropy reads at a time; its working memory scales with this, not the input.
+_PIECE_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,12 +73,21 @@ def _require_data(data: bytes) -> None:
         raise EmptyFileError("cannot analyze an empty byte sequence")
 
 
+def _ones_count(data: bytes) -> int:
+    """The number of one bits: a popcount of the whole 8-byte words, then of the last 0-7 bytes."""
+    import numpy as np  # here, not at module level: the calculator commands never import numpy
+
+    whole = len(data) // 8 * 8
+    words = np.frombuffer(data, dtype=np.uint64, count=whole // 8)
+    return int(np.bitwise_count(words).sum()) + int.from_bytes(data[whole:], "big").bit_count()
+
+
 def analyze_counts(data: bytes, bit_energy: float) -> tuple[int, int, float]:
     """(bit length, ones count, energy in J) of a byte sequence."""
     _require_data(data)
     require_positive(bit_energy=bit_energy)
     bit_length = 8 * len(data)
-    ones = int.from_bytes(data, "big").bit_count()
+    ones = _ones_count(data)
     energy = require_result(f"energy of {ones} one bits at {bit_energy} J each", ones * bit_energy)
     return bit_length, ones, energy
 
@@ -104,7 +121,7 @@ def _binary_entropy(ones: int, bit_length: int) -> float:
 def shannon_entropy_order0(data: bytes) -> float:
     """Binary entropy of the empirical ones fraction, nats per bit."""
     _require_data(data)
-    return _binary_entropy(int.from_bytes(data, "big").bit_count(), 8 * len(data))
+    return _binary_entropy(_ones_count(data), 8 * len(data))
 
 
 def block_entropy(data: bytes, block_bits: int) -> float:
@@ -115,22 +132,27 @@ def block_entropy(data: bytes, block_bits: int) -> float:
     rejected rather than silently underestimated.
 
     The window histogram is counted from byte words, never from single bits:
-    w[j] is the big-endian 32-bit word of bytes j..j+3 (the input padded with
+    w[j] is the big-endian 32-bit word of bytes j..j+3 (the input followed by
     three zero bytes), so the window starting at bit 8j + r is
     (w[j] >> (32 - r - k)) & (2^k - 1), which fits because r + k <= 31. The
     bit offsets r in 0..7 are counted in groups of g = max(1, min(8, 16 - k))
-    consecutive offsets a..a+g-1: one bincount of the (k+g-1)-bit field
+    consecutive offsets a..a+g-1: one histogram of the (k+g-1)-bit field
     starting at bit a of each w[j] holds the windows of every offset in the
-    group, and the histogram of offset r is the marginal of that field over
-    its bits [r-a, r-a+k). Fields are capped at 15 bits because wider
-    histograms count more slowly than they save; from k = 15 on, g = 1 and
-    each offset has its own bincount. Every field is counted over all the
-    words, so the counts hold one window per input bit; the k - 1 windows
-    that start in the last k - 1 bits run into the zero padding and are
-    subtracted. All counts are exact integers. Working memory is about 13
-    bytes per input byte (the padded copy, the 4-byte words and one reused
-    8-byte code buffer) plus 8 bytes per state, plus one field histogram of
-    8 * 2^(k+g-1) bytes (at most 256 KiB for k <= 15).
+    group. Fields are capped at 15 bits because wider histograms count more
+    slowly than they save; from k = 15 on, g = 1, and a group of one offset
+    adds its windows straight into the counts. Every field is counted over
+    all the words, so the counts hold one window per input bit; the k - 1
+    windows that start in the last k - 1 bits run into the zero padding and
+    are subtracted. All counts are exact integers.
+
+    The words are read in pieces of _PIECE_BYTES input bytes, and only the
+    last piece is padded, so working memory is O(piece + 2^(k+g-1)) whatever
+    the input length: one piece's words and codes (12 bytes per piece byte),
+    8 bytes per state, and one 8-byte field histogram per group, each summed
+    over the pieces. The histogram of offset a + i is that field's marginal
+    over its bits [i, i + k), taken once at the end by folding: the low
+    g - 1 - i bits go by adding even and odd entries, the top i bits by
+    adding the two halves.
     """
     _require_data(data)
     require_count(1, 24, block_bits=block_bits)
@@ -141,23 +163,40 @@ def block_entropy(data: bytes, block_bits: int) -> float:
             f"block entropy with k={block_bits} needs at least {needed} bits "
             f"({-(-needed // 8)} bytes), got {bit_length}"
         )
-    import numpy as np  # here, not at module level: only this function needs it
+    import numpy as np  # here, not at module level: the calculator commands never import numpy
 
     n_blocks = bit_length - block_bits + 1
     mask = (1 << block_bits) - 1
-    words = np.ndarray((len(data),), dtype=">u4", buffer=data + bytes(3), strides=(1,)).astype(np.uint32)
-    codes = np.empty(len(data), dtype=np.intp)
     counts = np.zeros(1 << block_bits, dtype=np.int64)
     group = max(1, min(8, 16 - block_bits))
-    for a in range(0, 8, group):
-        g = min(group, 8 - a)
-        width = block_bits + g - 1
-        np.right_shift(words, 32 - a - width, out=codes)
-        codes &= (1 << width) - 1
-        field = np.bincount(codes, minlength=1 << width)
-        for i in range(g):  # offset a + i reads bits [i, i + k) of the field; alone, the field is its histogram
-            counts += field.reshape(1 << i, -1).sum(axis=0).reshape(1 << block_bits, -1).sum(axis=1) if g > 1 else field
-        del field  # one histogram alive at a time, and none during the entropy below
+    groups = [(a, min(group, 8 - a)) for a in range(0, 8, group)]
+    fields = [np.zeros(1 << (block_bits + g - 1), dtype=np.int64) if g > 1 else None for _, g in groups]
+    buffer = np.empty(min(len(data), _PIECE_BYTES), dtype=np.intp)
+    for lo in range(0, len(data), _PIECE_BYTES):
+        m = min(_PIECE_BYTES, len(data) - lo)
+        piece = data[lo : lo + m + 3]
+        if len(piece) < m + 3:
+            piece += bytes(m + 3 - len(piece))
+        words = np.ndarray((m,), dtype=">u4", buffer=piece, strides=(1,)).astype(np.uint32)
+        codes = buffer[:m]
+        for (a, g), field in zip(groups, fields):
+            width = block_bits + g - 1
+            np.right_shift(words, 32 - a - width, out=codes)
+            codes &= (1 << width) - 1
+            if field is None:
+                np.add.at(counts, codes, 1)
+            else:
+                field += np.bincount(codes, minlength=field.size)
+    for (_, g), field in zip(groups, fields):
+        if field is None:
+            continue
+        for i in reversed(range(g)):  # offset a + i reads bits [i, i + k) of the field, from its top
+            top = field
+            for _ in range(i):
+                top = top[: top.size // 2] + top[top.size // 2 :]
+            counts += top
+            if i:
+                field = field[0::2] + field[1::2]
     tail = int.from_bytes(data[-3:], "big") << block_bits
     for t in range(1, block_bits):  # the window t bits before the end runs into the padding
         counts[(tail >> t) & mask] -= 1

@@ -320,6 +320,36 @@ class TestSweep:
         assert "--path" in err
         assert executed == []
 
+    @pytest.mark.parametrize(
+        "sweep,fixed",
+        [
+            (["--param", "seed", "--start", "0", "--stop", "999", "--count", "1000"], ["--L", "10", "--steps", "2e9"]),
+            (["--param", "L", "--start", "1e6", "--stop", "1e7", "--count", "10"], []),
+            (["--param", "ensemble", "--start", "2", "--stop", "500", "--count", "3"], ["--L", "10", "--steps", "4e6"]),
+        ],
+        ids=["seeds-of-2e9-steps", "default-steps-of-each-L", "ensembles"],
+    )
+    def test_a_simulate_sweep_over_the_step_budget_exits_one_before_any_point(self, capsys, monkeypatch, sweep,
+                                                                              fixed):
+        from infotherm import mcsim
+
+        def refuse(*args):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(mcsim, "_relax", refuse)
+        code, out, err = run_cli(capsys, ["sweep"] + sweep + ["--"] + SIMULATE + fixed)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "budget of 2147483648 steps" in err
+
+    def test_a_simulate_sweep_within_the_step_budget_runs(self, capsys):
+        code, out, _ = run_cli(capsys, ["sweep", "--param", "L", "--start", "10", "--stop", "30", "--count", "3",
+                                        "--"] + SIMULATE)
+        assert code == 0
+        assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["1000", "2000", "3000"]
+
     def test_a_one_point_sweep_may_read_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\x5a" * 64)))
         code, out, _ = run_cli(capsys, ["sweep", "--param", "epsilon", "--start", "1e-21", "--stop", "2e-21",

@@ -47,6 +47,19 @@ def shift_or_block_entropy(data: bytes, block_bits: int) -> float:
     return _entropy_from_counts(counts, n_blocks, block_bits)
 
 
+#: block_entropy's traced peak at k = 8, 12 and 16, whatever the input length.
+_PEAK_BOUND = 3 * MEGABYTE
+
+
+def _block_entropy_peak(data: bytes, block_bits: int) -> int:
+    tracemalloc.start()
+    try:
+        fileinfo.block_entropy(data, block_bits)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 _SHORT_RNG = np.random.default_rng(1996)
 _SHORT_BYTES = 5200  # enough bits for k = 12
 SHORT_INPUTS = {
@@ -70,6 +83,18 @@ class TestCounts:
         length, ones, energy = fileinfo.analyze_counts(b"\xf0\x0f", 2e-20)
         assert (length, ones) == (16, 8)
         assert energy == pytest.approx(1.6e-19, rel=1e-15)
+
+    def test_ones_count_at_every_short_length(self):
+        # Lengths 1..40 reach every count of whole 8-byte words up to five
+        # with every tail of 0..7 bytes.
+        data = np.random.default_rng(4040).bytes(40)
+        for n in range(1, 41):
+            assert fileinfo.analyze_counts(data[:n], 1e-21)[1] == int.from_bytes(data[:n], "big").bit_count(), n
+
+    @given(st.binary(min_size=1, max_size=200))
+    @settings(max_examples=200)
+    def test_ones_count_equals_the_integer_popcount(self, data):
+        assert fileinfo.analyze_counts(data, 1e-21)[1] == int.from_bytes(data, "big").bit_count()
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyFileError):
@@ -219,6 +244,18 @@ class TestBlockEntropy:
         for extra in (0, 1, 2, 3, 7):
             assert fileinfo.block_entropy(data[: need + extra], k) == shift_or_block_entropy(data[: need + extra], k), extra
 
+    @pytest.mark.parametrize("k", [1, 7, 8, 12, 14, 15, 16, 17])
+    def test_equals_shift_or_formula_at_the_piece_edges(self, k):
+        # The words are read in pieces; a length just around a piece boundary
+        # moves the last word of one piece, and the padding, across it. The
+        # first boundary taken is the first past the sample-size minimum.
+        piece = fileinfo._PIECE_BYTES
+        need = -(-_MIN_SAMPLES_PER_STATE * (1 << k) // 8)
+        edge = piece * max(1, -(-(need + 1) // piece))
+        data = np.random.default_rng(1800 + k).bytes(edge + piece + 5)
+        for n in (edge - 1, edge, edge + 1, edge + 2, edge + 3, edge + piece + 5):
+            assert fileinfo.block_entropy(data[:n], k) == shift_or_block_entropy(data[:n], k), n
+
     @given(
         st.integers(min_value=1, max_value=16),
         st.integers(min_value=0, max_value=64),
@@ -234,17 +271,16 @@ class TestBlockEntropy:
 
     @pytest.mark.parametrize("k", [8, 12, 16])
     def test_peak_memory_per_input_byte(self, random_megabyte, k):
-        tracemalloc.start()
-        try:
-            fileinfo.block_entropy(random_megabyte, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 * MEGABYTE
-        if k == 16:
-            # The words and codes (12 MiB), the counts and the entropy's
-            # temporaries; a histogram kept alive past its group adds 0.5 MiB.
-            assert peak <= 13.6 * MEGABYTE
+        # One piece's words and codes (0.75 MiB), the field histograms or
+        # the counts, and the entropy's temporaries: 1.3-2.4 MiB measured.
+        assert _block_entropy_peak(random_megabyte, k) <= _PEAK_BOUND
+
+    @pytest.mark.parametrize("k", [8, 12, 16])
+    def test_peak_memory_does_not_grow_with_the_input(self, random_megabyte, k):
+        sixteen = np.random.default_rng(1616).bytes(16 * MEGABYTE)
+        peak = _block_entropy_peak(sixteen, k)
+        assert peak <= _PEAK_BOUND
+        assert abs(peak - _block_entropy_peak(random_megabyte, k)) <= 0.25 * MEGABYTE
 
 
 class TestCompressionInformation:
