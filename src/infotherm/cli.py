@@ -20,7 +20,8 @@ dataclass declares the unit of each reported field on the field itself
 ``sweep`` reads its target's table first: an unknown or non-numeric flag,
 or a grid the flag's own parser refuses (5.5 for a count), is a usage
 error, and more than one point of ``file analyze`` without ``--path`` a
-domain error, since stdin can be read only once.
+domain error, since stdin can be read only once. It parses the target once;
+each point is a copy of that namespace with only the swept flag set.
 
 All numeric flags accept scientific notation. Units are fixed SI; there is
 no unit-suffix parsing.
@@ -39,7 +40,8 @@ import os
 import sys
 
 from . import bounds, broadcast, fileinfo, twolevel
-from .errors import DomainError, require_count, require_positive, require_within_budget, require_within_step_budget
+from .errors import (DomainError, require_count, require_finite, require_positive, require_result,
+                     require_within_budget, require_within_step_budget)
 from .quantities import bits_to_nats, convert_information, entropy_si_to_nats
 
 FORMAT_ENV_VAR = "INFOTHERM_FORMAT"
@@ -547,8 +549,12 @@ def _sweep_values(args) -> list[float]:
         ratio = (args.stop / args.start) ** (1.0 / (args.count - 1))
         values = [args.start * ratio**i for i in range(args.count)]
     else:
+        require_finite("start", args.start)
+        require_finite("stop", args.stop)
         step = (args.stop - args.start) / (args.count - 1)
         values = [args.start + step * i for i in range(args.count)]
+        # The last point is the grid's far end: it overflows if the step does, or if step * i rounds past the range.
+        require_result("the linear grid from start to stop", values[-1])
     return sorted(values)
 
 
@@ -566,24 +572,24 @@ def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
     swept = matches[0]
     flag = "--" + swept.name
     values = _sweep_values(args)
-    for value in values:
-        try:
-            swept.parse(repr(value))
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"argument {flag}: {exc}")
+    try:
+        parsed = [swept.parse(repr(value)) for value in values]
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"argument {flag}: {exc}")
+    # One parse ("--flag=value" keeps -1e-05 a value); each point copies it, with its value as argparse stores it.
+    base = vars(parser.parse_args(target + [f"{flag}={values[0]!r}"]))
+    dest = swept.name.replace("-", "_")
+    def point(value) -> argparse.Namespace:
+        return argparse.Namespace(**{**base, dest: value})
+    if leaf == "file analyze" and not base["path"] and len(values) > 1:
+        raise DomainError("a sweep cannot re-read stdin at every point; give file analyze a --path")
     if leaf == "simulate":  # the steps of every run of every point, checked before the first one runs
-        total = 0
-        for value in values:
-            sub_args = parser.parse_args(target + [flag, repr(value)])
-            total += _simulate_steps(sub_args) * (1 if sub_args.ensemble is None else sub_args.ensemble)
+        total = sum(_simulate_steps(p) * (1 if p.ensemble is None else p.ensemble) for p in map(point, parsed))
         require_within_step_budget(total, f"a sweep of {len(values)} simulate points")
     rows = []
     header: list[str] | None = None
-    for value in values:
-        sub_args = parser.parse_args(target + [flag, repr(value)])
-        if leaf == "file analyze" and not sub_args.path and len(values) > 1:
-            raise DomainError("a sweep cannot re-read stdin at every point; give file analyze a --path")
-        env = _execute(sub_args)
+    for value, parsed_value in zip(values, parsed):
+        env = _execute(point(parsed_value))
         scalars = {k: v for k, v in env.results.items() if not isinstance(v, _COMPOUND)}
         if header is None:
             header = [args.param] + list(scalars)

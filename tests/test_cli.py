@@ -1,19 +1,23 @@
+import argparse
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infotherm import cli
+from infotherm import cli, errors
 from infotherm.bounds import EntropyLedger
 from infotherm.broadcast import BroadcastBalance
 from infotherm.fileinfo import FileReport
@@ -27,6 +31,9 @@ SCHEMA = json.loads(
 
 #: A simulate command line without L, steps or ensemble.
 SIMULATE = ["simulate", "--t-hot", "600", "--t-cold", "300", "--epsilon", "4.14e-21"]
+
+#: A gas temperature command line without epsilon.
+GAS_TEMPERATURE = ["gas", "temperature", "--L", "10", "--p", "2"]
 
 
 def run_cli(capsys, argv):
@@ -372,6 +379,94 @@ class TestSweep:
                                         "--count", "3", "--", "file", "analyze", "--path", str(path)])
         assert code == 0
         assert len(out.splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--param", "L", "--start", "inf", "--stop", "10", "--count", "2", "--", "gas", "entropy", "--p", "0"],
+             "start must be a finite number, got inf"),
+            (["--param", "epsilon", "--start", "1e-21", "--stop", "inf", "--count", "3", "--"] + GAS_TEMPERATURE,
+             "stop must be a finite number, got inf"),
+            (["--param", "epsilon", "--start", "nan", "--stop", "1e-21", "--count", "3", "--"] + GAS_TEMPERATURE,
+             "start must be a finite number, got nan"),
+            (["--param", "epsilon", "--start=-1e308", "--stop", "1.7e308", "--count", "3", "--"] + GAS_TEMPERATURE,
+             "the linear grid from start to stop overflows"),
+            (["--param", "T", "--start", "0.5", "--stop", "1.7976931348623157e308", "--count", "4", "--",
+              "gas", "occupation", "--L", "10", "--epsilon", "1e-21"], "the linear grid from start to stop overflows"),
+            (["--param", "T", "--start", "1.7976931348623157e308", "--stop", "0.5", "--count", "4", "--",
+              "gas", "occupation", "--L", "10", "--epsilon", "1e-21"], "the linear grid from start to stop overflows"),
+        ],
+        ids=["inf-start-of-a-count", "inf-stop", "nan-start", "overflowing-step", "last-point-rounds-up",
+             "last-point-rounds-down"],
+    )
+    def test_a_linear_grid_with_a_non_finite_point_exits_one_before_any_point(self, capsys, executed, argv,
+                                                                             message):
+        # Each once ran a nan or inf point the user never typed: exit 2 or 1 naming it, or an inf row with exit 0.
+        code, out, err = run_cli(capsys, ["sweep"] + argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert executed == []
+
+    def test_a_single_point_may_be_infinite(self, capsys):
+        code, out, _ = run_cli(capsys, ["sweep", "--param", "T", "--start", "inf", "--stop", "inf", "--count", "1",
+                                        "--", "gas", "occupation", "--L", "10", "--epsilon", "1e-21"])
+        assert code == 0
+        assert out == "T,occupation\ninf,5.0\n"
+
+    @pytest.mark.parametrize("target", [GAS_TEMPERATURE, SIMULATE + ["--L", "10", "--steps", "10"]],
+                             ids=["gas-temperature", "simulate"])
+    def test_a_negative_value_in_scientific_notation_is_a_value(self, capsys, target):
+        # Parsed as "--epsilon -1e-05", it read as a flag: exit 2, "expected one argument".
+        code, out, err = run_cli(capsys, ["sweep", "--param", "epsilon", "--start=-1e-5", "--stop=-1e-6",
+                                          "--count", "2", "--"] + target)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "-1e-05" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--param", "epsilon", "--start", "1e-21", "--stop", "1e-19", "--count", "50", "--"]
+            + GAS_TEMPERATURE,
+            ["sweep", "--param", "seed", "--start", "0", "--stop", "2", "--count", "3", "--"]
+            + SIMULATE + ["--L", "10", "--steps", "10"],
+        ],
+        ids=["gas-temperature-50-points", "simulate-3-points"],
+    )
+    def test_the_target_is_parsed_once(self, capsys, argv):
+        parser = cli.build_parser()
+        with mock.patch.object(parser, "parse_args", wraps=parser.parse_args) as spy:
+            code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        target = argv[argv.index("--") + 1:]
+        parsed = [call.args[0] for call in spy.call_args_list]
+        assert parsed[0] == argv
+        assert [point[:len(target)] for point in parsed[1:]] == [target]
+
+    @pytest.mark.parametrize(
+        "count,target",
+        [
+            (20000, ["--param", "epsilon", "--start", "1e-21", "--stop", "1e-19", "--"] + GAS_TEMPERATURE),
+            (2000, ["--param", "seed", "--start", "0", "--stop", "1999", "--"]
+             + SIMULATE + ["--L", "10", "--steps", "10"]),
+        ],
+        ids=["gas-temperature", "simulate"],
+    )
+    def test_the_memory_estimate_bounds_a_sweep(self, count, target):
+        from infotherm import mcsim  # noqa: F401  (imported outside the traced call, as the parser is built)
+
+        cli.build_parser()
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = cli.main(["sweep", "--count", str(count)] + target)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= count * cli._SWEEP_POINT_BYTES
 
 
 class TestExitCodes:
@@ -875,6 +970,23 @@ _FUZZ_LEDGER = st.fixed_dictionaries({}, optional={
 })
 
 
+def run_main(argv: list[str], stdin: bytes, sweep=None) -> tuple:
+    """(exit status, stdout, stderr) of ``cli.main(argv)`` on ``stdin``, a usage error's exit too.
+
+    ``sweep``, if given, stands in for ``cli._sweep``.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+        if sweep is not None:
+            patch.setattr(cli, "_sweep", sweep)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def fuzz_data(tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("fuzz") / "data.bin"
@@ -889,17 +1001,113 @@ class TestFuzz:
     @given(data=st.data(), ledger=_FUZZ_LEDGER)
     def test_no_traceback(self, fuzz_data, data, ledger):
         argv = data.draw(_fuzz_argv(fuzz_data))
-        out, err = io.StringIO(), io.StringIO()
-        stdin = io.TextIOWrapper(io.BytesIO(json.dumps(ledger).encode()))  # file analyze reads it without --path
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sys, "stdin", stdin)
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        err = err.getvalue()
+        code, _, err = run_main(argv, json.dumps(ledger).encode())  # file analyze reads the ledger without --path
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err
         if code == 1:
             assert err.startswith("error:") and len(err.splitlines()) == 1, (argv, err)
+
+
+def per_point_sweep(args, parser, stream) -> None:
+    """Oracle: the earlier ``cli._sweep``, kept as a test-local copy.
+
+    It parses each point's whole argv, the target and the swept flag with
+    its value, and a simulate target's twice: once for the step budget and
+    once to run it.
+    """
+    target = args.target[1:] if args.target[:1] == ["--"] else args.target
+    leaf = " ".join(target[:2] if target and target[0] in cli._GROUPS else target[:1])
+    if leaf not in cli._COMMANDS:
+        parser.error(f"sweep needs a result command after the sweep flags, got {leaf!r}")
+    name = args.param.lstrip("-").replace("_", "-")
+    by_name = {row.name: row for row in cli._rows(leaf).values()}
+    matches = [by_name[name]] if name in by_name else [row for n, row in by_name.items() if n.startswith(name)]
+    if len(matches) != 1 or matches[0].parse not in (float, cli._count):
+        parser.error(f"--param {args.param!r} is not a numeric flag of {leaf}")
+    swept = matches[0]
+    flag = "--" + swept.name
+    values = cli._sweep_values(args)
+    for value in values:
+        try:
+            swept.parse(repr(value))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"argument {flag}: {exc}")
+    if leaf == "simulate":
+        total = 0
+        for value in values:
+            sub_args = parser.parse_args(target + [flag, repr(value)])
+            total += cli._simulate_steps(sub_args) * (1 if sub_args.ensemble is None else sub_args.ensemble)
+        errors.require_within_step_budget(total, f"a sweep of {len(values)} simulate points")
+    rows = []
+    header = None
+    for value in values:
+        sub_args = parser.parse_args(target + [flag, repr(value)])
+        if leaf == "file analyze" and not sub_args.path and len(values) > 1:
+            raise errors.DomainError("a sweep cannot re-read stdin at every point; give file analyze a --path")
+        env = cli._execute(sub_args)
+        scalars = {k: v for k, v in env.results.items() if not isinstance(v, cli._COMPOUND)}
+        if header is None:
+            header = [args.param] + list(scalars)
+        rows.append([cli._format_scalar(value)] + [cli._format_scalar(scalars.get(k)) for k in header[1:]])
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header or [args.param])
+    writer.writerows(rows)
+
+
+class TestSweepMatchesItsPoints:
+    """A sweep prints what parsing each point's whole argv prints: stdout, stderr and exit status."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), count=st.sampled_from([None, "3"]))
+    def test_fuzz_sweeps(self, fuzz_data, data, count):
+        argv = data.draw(_fuzz_argv(fuzz_data).filter(lambda argv: argv[0] == "sweep"))
+        if count is not None:  # the fuzz values give one point at most
+            argv[argv.index("--count") + 1] = count
+        stdin = b"\x5a" * 64
+        assert run_main(argv, stdin) == run_main(argv, stdin, per_point_sweep)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--param", "L", "--start", "5", "--stop", "15", "--count", "3", "--", "gas", "entropy", "--p", "0",
+             "--L", "5"],
+            ["--param", "eps", "--start", "1e-21", "--stop", "1e-19", "--count", "3", "--"] + GAS_TEMPERATURE,
+            ["--param", "epsilon", "--start", "1e-21", "--stop", "1e-19", "--count", "4", "--log", "--"]
+            + GAS_TEMPERATURE,
+            ["--param", "p-hot", "--start", "3", "--stop", "1e1", "--count", "8", "--", "gas", "transfer", "--L",
+             "100", "--p-cold", "2", "--epsilon", "1e-21"],
+            ["--param", "carrier", "--start", "1e8", "--stop", "2e9", "--count", "4", "--", "broadcast", "range",
+             "--power", "50", "--bit-rate", "9e8"],
+            ["--param", "distance", "--start", "1e3", "--stop", "1e5", "--count", "3", "--", "broadcast",
+             "temperature", "--power", "50", "--bit-rate", "9e8", "--area-mode", "wavelength-squared-over-100"],
+            ["--param", "t-hot", "--start", "400", "--stop", "800", "--count", "3", "--"] + SIMULATE
+            + ["--L", "50", "--steps", "1000", "--ensemble", "3"],
+            ["--param", "L", "--start", "10", "--stop", "30", "--count", "3", "--"] + SIMULATE,
+            ["--param", "p", "--start", "1", "--stop", "21", "--count", "3", "--", "gas", "temperature", "--L",
+             "15", "--epsilon", "1e-21"],
+            ["--param", "info-nats", "--start", "1", "--stop", "2", "--count", "2", "--", "broadcast", "balance",
+             "--info-bits", "5", "--receivers", "3"],
+            ["--param", "epsilon", "--start", "1e-21", "--stop", "1e-19", "--count", "3", "--", "gas", "temperature",
+             "--L", "10"],
+        ],
+        ids=["swept-flag-in-the-target", "unique-prefix", "log-grid", "integer-grid-of-a-count", "range-over-carrier",
+             "temperature-over-distance", "simulate-ensemble", "simulate-default-steps", "last-point-domain-error",
+             "exclusive-flag-in-the-target", "incomplete-target"],
+    )
+    def test_equals_the_per_point_parse(self, argv):
+        argv = ["sweep"] + argv
+        result = run_main(argv, b"")
+        assert result == run_main(argv, b"", per_point_sweep)
+        assert result[0] in (0, 1, 2) and "Traceback" not in result[2]
+
+    def test_a_domain_error_at_the_last_point_exits_one(self):
+        argv = ["sweep", "--param", "p", "--start", "1", "--stop", "21", "--count", "3", "--", "gas", "temperature",
+                "--L", "15", "--epsilon", "1e-21"]
+        assert run_main(argv, b"") == (1, "", "error: ones must be an integer in [0, 15], got 21\n")
+
+    def test_file_analyze_with_a_path(self, fuzz_data):
+        argv = ["sweep", "--param", "block-k", "--start", "1", "--stop", "8", "--count", "8", "--", "file", "analyze",
+                "--epsilon", "1e-21", "--path", fuzz_data]
+        result = run_main(argv, b"")
+        assert result[0] == 0
+        assert result == run_main(argv, b"", per_point_sweep)
