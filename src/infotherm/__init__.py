@@ -8,92 +8,103 @@ estimates, effective temperature, incompressibility scoring), broadcast
 temperatures and range/information bounds, a Clausius-inequality checker,
 and a seed-reproducible Monte Carlo verifier of the second law.
 
-Only the file analysis and the simulation need numpy. ``mcsim`` and its
-names below are loaded on first access (PEP 562), and ``fileinfo`` imports
-numpy inside the functions that count, so importing the package or running a
-closed-form calculator never loads numpy.
+A module loads when it is first needed. Importing the package loads none of
+its modules: each public name below is resolved from its home module on
+first access (PEP 562), and the CLI imports a library module inside the
+handler that uses it. Only the file analysis and the simulation need numpy;
+``fileinfo`` imports it inside the functions that count and ``mcsim`` at its
+top, so a closed-form calculator never loads numpy. ``from infotherm import
+*`` binds every name except those of ``mcsim``, so it does not load numpy
+either.
 """
-
-from .bounds import (
-    EntropyLedger,
-    carnot_efficiency,
-    clausius_check,
-    max_computing_rate,
-)
-from .broadcast import (
-    BroadcastBalance,
-    BroadcastInformation,
-    LinkBudget,
-    ReceiverTemperature,
-    broadcast_entropy_balance,
-    equivalent_bit_energy,
-    equivalent_power,
-    max_broadcast_information,
-    max_range,
-    receiver_temperature,
-    transmitter_temperature,
-)
-from .errors import (
-    DomainError,
-    EmptyFileError,
-    InvalidDistributionError,
-    InvalidQuantityError,
-    SampleSizeError,
-    UndefinedTemperatureError,
-)
-from .fileinfo import (
-    FileReport,
-    analyze,
-    analyze_counts,
-    block_entropy,
-    compression_information,
-    effective_temperature,
-    equilibrium_score,
-    file_temperature,
-    max_information,
-    shannon_entropy_order0,
-)
-from .quantities import C_LIGHT, K_B, LN2, convert_information
-from .twolevel import (
-    GasSpec,
-    GasState,
-    GasTemperature,
-    TransferLedger,
-    entropy_stirling,
-    gas_state,
-    gas_temperature,
-    multiplicity_ln,
-    occupation_at,
-    transfer_entropy_delta,
-)
 
 __version__ = "0.1.0"
 
-#: Public names of :mod:`infotherm.mcsim`, resolved on first access.
-_MCSIM_NAMES = (
-    "ConfigDistribution",
-    "Configuration",
-    "EnsembleSummary",
-    "SimLedger",
-    "ensemble_summary",
-    "h_function",
-    "run_ensemble",
-    "sample_canonical",
-    "sample_equilibrium",
-    "simulate_transfer",
-)
+#: Public names by home module, each resolved on first access.
+_PUBLIC = {
+    "bounds": ("EntropyLedger", "carnot_efficiency", "clausius_check", "max_computing_rate"),
+    "broadcast": (
+        "BroadcastBalance",
+        "BroadcastInformation",
+        "LinkBudget",
+        "ReceiverTemperature",
+        "broadcast_entropy_balance",
+        "equivalent_bit_energy",
+        "equivalent_power",
+        "max_broadcast_information",
+        "max_range",
+        "receiver_temperature",
+        "transmitter_temperature",
+    ),
+    "errors": (
+        "DomainError",
+        "EmptyFileError",
+        "InvalidDistributionError",
+        "InvalidQuantityError",
+        "SampleSizeError",
+        "UndefinedTemperatureError",
+    ),
+    "fileinfo": (
+        "FileReport",
+        "analyze",
+        "analyze_counts",
+        "block_entropy",
+        "compression_information",
+        "effective_temperature",
+        "equilibrium_score",
+        "file_temperature",
+        "max_information",
+        "shannon_entropy_order0",
+    ),
+    "lz": (),
+    "mcsim": (
+        "ConfigDistribution",
+        "Configuration",
+        "EnsembleSummary",
+        "SimLedger",
+        "ensemble_summary",
+        "h_function",
+        "run_ensemble",
+        "sample_canonical",
+        "sample_equilibrium",
+        "simulate_transfer",
+    ),
+    "quantities": ("C_LIGHT", "K_B", "LN2", "convert_information"),
+    "twolevel": (
+        "GasSpec",
+        "GasState",
+        "GasTemperature",
+        "TransferLedger",
+        "entropy_stirling",
+        "gas_state",
+        "gas_temperature",
+        "multiplicity_ln",
+        "occupation_at",
+        "transfer_entropy_delta",
+    ),
+}
+
+#: Public name -> home module; a module is its own home.
+_HOME = {**{module: module for module in _PUBLIC}, **{n: module for module, names in _PUBLIC.items() for n in names}}
+
+#: What ``from infotherm import *`` binds: all but ``mcsim`` and its names, which would load numpy.
+__all__ = sorted(name for name, module in _HOME.items() if module != "mcsim")
 
 
 def __getattr__(name):
-    if name == "mcsim" or name in _MCSIM_NAMES:
-        import importlib
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib  # here, not at module level, where dir() would list it
 
-        # import_module, not ``from . import``: the latter probes this
-        # package's attributes and would re-enter this hook.
-        mcsim = importlib.import_module(f"{__name__}.mcsim")
-        return mcsim if name == "mcsim" else getattr(mcsim, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not ``from . import``: the latter probes this package's
+    # attributes and would re-enter this hook. Importing a submodule binds it
+    # here; a name is bound once resolved, so later lookups skip this hook.
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
 
 
 def __dir__():
-    return sorted({*globals(), "mcsim", *_MCSIM_NAMES})
+    return sorted({*globals(), *_HOME})

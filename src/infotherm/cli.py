@@ -21,7 +21,15 @@ dataclass declares the unit of each reported field on the field itself
 or a grid the flag's own parser refuses (5.5 for a count), is a usage
 error, and more than one point of ``file analyze`` without ``--path`` a
 domain error, since stdin can be read only once. It parses the target once;
-each point is a copy of that namespace with only the swept flag set.
+each point is a copy of that namespace with only the swept flag set. A
+log grid whose ratio leaves the float range is computed in decimal
+arithmetic, so its points stay between its bounds.
+
+A module loads when a command first needs it: each handler imports its own
+library module, and json, csv and dataclasses are imported where a renderer,
+``clausius`` or ``_reported_fields`` uses them. ``import infotherm.cli``
+loads argparse, the package, ``errors`` and ``quantities``; ``--help`` loads
+no other library module.
 
 All numeric flags accept scientific notation. Units are fixed SI; there is
 no unit-suffix parsing.
@@ -31,15 +39,11 @@ Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 
 import argparse
 import collections
-import csv as csv_module
-import dataclasses
 import functools
-import json
 import math
 import os
 import sys
 
-from . import bounds, broadcast, fileinfo, twolevel
 from .errors import (DomainError, require_count, require_finite, require_positive, require_result,
                      require_within_budget, require_within_step_budget)
 from .quantities import bits_to_nats, convert_information, entropy_si_to_nats
@@ -98,6 +102,8 @@ class Envelope:
 @functools.cache
 def _reported_fields(cls) -> tuple[tuple[str, str | None], ...]:
     """(name, unit) of each field of ``cls`` declared with ``quantities.unit``."""
+    import dataclasses
+
     return tuple((f.name, f.metadata["unit"]) for f in dataclasses.fields(cls) if "unit" in f.metadata)
 
 
@@ -137,6 +143,8 @@ def _render_text(env: Envelope, stream) -> None:
     stream.write("results:\n")
     for name, value in env.results.items():
         if isinstance(value, _COMPOUND):
+            import json
+
             stream.write(f"  {name} = {json.dumps(_jsonable(value))}\n")
             continue
         unit = env.units.get(name)
@@ -147,6 +155,8 @@ def _render_text(env: Envelope, stream) -> None:
 
 
 def _render_json(env: Envelope, stream) -> None:
+    import json
+
     payload = {
         "command": env.command,
         "inputs": _jsonable(env.inputs),
@@ -160,13 +170,15 @@ def _render_json(env: Envelope, stream) -> None:
 
 def _render_csv(env: Envelope, stream) -> None:
     """Scalar results as one CSV row; ensemble runs expand to many rows."""
+    import csv
+
     if "runs" in env.results and isinstance(env.results["runs"], list):
         header = ["seed", "p_final", "heat_to_cold", "total_entropy_change"]
         rows = [[run[key] for key in header] for run in env.results["runs"]]
     else:
         header = [k for k, v in env.results.items() if not isinstance(v, _COMPOUND)]
         rows = [[env.results[k] for k in header]]
-    writer = csv_module.writer(stream, lineterminator="\n")
+    writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_format_scalar(v) for v in row] for row in rows)
 
@@ -254,7 +266,7 @@ _SWEEP_FLAGS = (
 # handlers: each calls the library and adds results; rows are echoed after
 
 
-def _add_temperature(env: Envelope, temp: twolevel.GasTemperature) -> None:
+def _add_temperature(env: Envelope, temp: "twolevel.GasTemperature") -> None:
     env.add("temperature", temp.kelvin, "K")
     env.add("inverted", temp.inverted)
     if temp.infinite:
@@ -263,6 +275,8 @@ def _add_temperature(env: Envelope, temp: twolevel.GasTemperature) -> None:
 
 @_command("gas temperature", "equilibrium temperature from (L, p, epsilon)", _L, _P, _EPSILON)
 def _gas_temperature(args, env: Envelope) -> None:
+    from . import twolevel
+
     temp = twolevel.gas_temperature(twolevel.GasSpec(args.L, args.p, args.epsilon))
     _add_temperature(env, temp)
     if temp.inverted:
@@ -271,6 +285,8 @@ def _gas_temperature(args, env: Envelope) -> None:
 
 @_command("gas entropy", "exact and Stirling entropy of (L, p)", _L, _P)
 def _gas_entropy(args, env: Envelope) -> None:
+    from . import twolevel
+
     exact = twolevel.multiplicity_ln(args.L, args.p)
     env.add("entropy_exact", exact, "nats")
     env.add("entropy_exact_bits", convert_information(exact, "bits"), "bits")
@@ -285,6 +301,8 @@ def _gas_entropy(args, env: Envelope) -> None:
 @_command("gas occupation", "equilibrium mean ones count at temperature T",
           _L, _Flag("T", float, "K", _REQUIRED, "temperature"), _EPSILON)
 def _gas_occupation(args, env: Envelope) -> None:
+    from . import twolevel
+
     env.add("occupation", twolevel.occupation_at(args.L, args.T, args.epsilon), "count")
 
 
@@ -294,6 +312,8 @@ def _gas_occupation(args, env: Envelope) -> None:
           _Flag("p-cold", _count, "count", _REQUIRED, "cold-side excited count"),
           _EPSILON)
 def _gas_transfer(args, env: Envelope) -> None:
+    from . import twolevel
+
     ledger = twolevel.transfer_entropy_delta(args.L, args.p_hot, args.p_cold, args.epsilon)
     env.add_results(ledger)
     if not ledger.canonical:
@@ -302,6 +322,8 @@ def _gas_transfer(args, env: Envelope) -> None:
 
 @_command("gas state", "full derived state for (L, p, epsilon)", _L, _P, _EPSILON)
 def _gas_state(args, env: Envelope) -> None:
+    from . import twolevel
+
     spec = twolevel.GasSpec(args.L, args.p, args.epsilon)
     state = twolevel.gas_state(spec)
     env.add("energy", spec.energy, "J")
@@ -316,9 +338,11 @@ def _gas_state(args, env: Envelope) -> None:
 
 @_command("file analyze", "full report for a file or stdin",
           _Flag("epsilon", float, "J", _REQUIRED, "energy assigned to a one bit"),
-          _Flag("block-k", _count, "bit", fileinfo.DEFAULT_BLOCK_BITS, "block size for block entropy"),
+          _Flag("block-k", _count, "bit", 8, "block size for block entropy"),
           _Flag("path", str, None, None, "input file (default: read stdin)"))
 def _file_analyze(args, env: Envelope) -> None:
+    from . import fileinfo
+
     if args.path:
         with open(args.path, "rb") as handle:
             data = handle.read()
@@ -335,6 +359,8 @@ def _file_analyze(args, env: Envelope) -> None:
 
 def _resolve_area(args) -> float:
     """``--area``, else the ``--area-mode`` preset; the link flags are checked either way."""
+    from . import broadcast
+
     wavelength = broadcast.LinkBudget(
         power=args.power, bit_rate=args.bit_rate, receiver_area=1.0, carrier_frequency=args.carrier
     ).wavelength
@@ -347,8 +373,10 @@ def _resolve_area(args) -> float:
           _POWER, _BIT_RATE, _CARRIER, _AREA, _AREA_MODE,
           _Flag("noise-temp", float, "K", 300.0, "noise temperature"),
           _Flag("margin", float, "dimensionless", 10.0, "SNR safety factor"),
-          _Flag("criterion", broadcast.RANGE_CRITERIA, "mode", "bit-energy", "detection criterion"))
+          _Flag("criterion", ("bit-energy", "file-temperature"), "mode", "bit-energy", "detection criterion"))
 def _broadcast_range(args, env: Envelope) -> None:
+    from . import broadcast
+
     args.area = _resolve_area(args)
     budget = broadcast.LinkBudget(
         power=args.power,
@@ -371,6 +399,8 @@ def _broadcast_range(args, env: Envelope) -> None:
           _Flag("distance", float, "m", None, "receiver distance (optional)"),
           _AREA_MODE)
 def _broadcast_temperature(args, env: Envelope) -> None:
+    from . import broadcast
+
     t_source = broadcast.transmitter_temperature(args.power, args.bit_rate)
     env.add("transmitter_temperature", t_source, "K")
     env.add("equivalent_bit_energy", broadcast.equivalent_bit_energy(args.power, args.bit_rate), "J")
@@ -390,6 +420,8 @@ def _broadcast_temperature(args, env: Envelope) -> None:
            _Flag("info-bits", float, "bits", _REQUIRED, "file information", echo=False)),
           _Flag("receivers", _count, "count", _REQUIRED, "number of receivers"))
 def _broadcast_balance(args, env: Envelope) -> None:
+    from . import broadcast
+
     info = args.info_nats if args.info_nats is not None else bits_to_nats(args.info_bits)
     env.add_input("info", info, "nats")
     balance = broadcast.broadcast_entropy_balance(info, args.receivers)
@@ -403,6 +435,8 @@ def _broadcast_balance(args, env: Envelope) -> None:
           _Flag("radius", float, "m", _REQUIRED, "antenna radius"),
           _Flag("duration", float, "s", 1.0, "broadcast duration"))
 def _broadcast_capacity(args, env: Envelope) -> None:
+    from . import broadcast
+
     bound = broadcast.max_broadcast_information(args.bit_rate, args.carrier, args.radius, args.duration)
     env.add("max_information", bound.nats, "nats")
     env.add("max_information_bits", bound.bits, "bits")
@@ -416,6 +450,8 @@ def _broadcast_capacity(args, env: Envelope) -> None:
           _Flag("noise-temp", float, "K", 300.0, "ambient noise temperature"),
           _Flag("margin", float, "dimensionless", 10.0, "operating margin over noise"))
 def _compute_bound(args, env: Envelope) -> None:
+    from . import bounds
+
     env.add("max_rate", bounds.max_computing_rate(args.power, args.noise_temp, args.margin), "bit/s")
 
 
@@ -427,6 +463,10 @@ _LEDGER_KEYS = ("delta_S", "heat_terms", "info_term", "tolerance")
           _Flag("ledger", str, None, "-", 'JSON ledger path, or "-" for stdin; keys: delta_S [J/K], '
                                           "heat_terms [[J, K]...], info_term [nats], tolerance [J/K]"))
 def _clausius(args, env: Envelope) -> None:
+    import json
+
+    from . import bounds
+
     try:
         if args.ledger == "-":
             text = sys.stdin.read()
@@ -456,7 +496,7 @@ def _clausius(args, env: Envelope) -> None:
           _Flag("seed", _count, "count", 0, "RNG seed"),
           _Flag("ensemble", _count, "count", None, "run this many seeds starting at --seed and summarize"))
 def _simulate(args, env: Envelope) -> None:
-    from . import mcsim  # here, so that the calculator commands never import numpy
+    from . import mcsim
 
     args.steps = _simulate_steps(args)
     if args.ensemble is None:
@@ -546,16 +586,43 @@ def _sweep_values(args) -> list[float]:
         return [args.start]
     if args.log:
         require_positive(start=args.start, stop=args.stop)
-        ratio = (args.stop / args.start) ** (1.0 / (args.count - 1))
-        values = [args.start * ratio**i for i in range(args.count)]
-    else:
-        require_finite("start", args.start)
-        require_finite("stop", args.stop)
-        step = (args.stop - args.start) / (args.count - 1)
-        values = [args.start + step * i for i in range(args.count)]
-        # The last point is the grid's far end: it overflows if the step does, or if step * i rounds past the range.
-        require_result("the linear grid from start to stop", values[-1])
+        return sorted(_log_grid(args.start, args.stop, args.count))
+    require_finite("start", args.start)
+    require_finite("stop", args.stop)
+    step = (args.stop - args.start) / (args.count - 1)
+    values = [args.start + step * i for i in range(args.count)]
+    # The last point is the grid's far end: it overflows if the step does, or if step * i rounds past the range.
+    require_result("the linear grid from start to stop", values[-1])
     return sorted(values)
+
+
+def _log_grid(start: float, stop: float, count: int) -> list[float]:
+    """``count`` points from ``start`` to ``stop`` (both finite and > 0) in a constant ratio.
+
+    In doubles, point i is start * ratio**i with ratio (stop / start) **
+    (1 / (count - 1)). Where that quotient leaves the normal range, or a point
+    rounds past it, the points are computed in decimal arithmetic, which has
+    the exponent range a double lacks, and each is rounded once to a double;
+    so they stay finite, as the points between two finite bounds are. (In log
+    space, exp(log(start) + i * log(stop / start) / (count - 1)) would be off
+    by about 150 ulps: exp magnifies the rounding of an argument near 690.)
+    """
+    quotient = stop / start
+    if sys.float_info.min <= quotient <= sys.float_info.max:
+        ratio = quotient ** (1.0 / (count - 1))
+        try:
+            values = [start * ratio**i for i in range(count)]
+            if math.isfinite(values[-1]):
+                return values
+        except OverflowError:  # float ** int raises where float * float gives inf
+            pass
+    import decimal
+
+    with decimal.localcontext() as context:
+        context.prec = 34
+        first = decimal.Decimal(start)
+        ratio = (decimal.Decimal(stop) / first) ** (decimal.Decimal(1) / (count - 1))
+        return [float(first * ratio**i) for i in range(count)]
 
 
 def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
@@ -594,7 +661,9 @@ def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
         if header is None:
             header = [args.param] + list(scalars)
         rows.append([_format_scalar(value)] + [_format_scalar(scalars.get(k)) for k in header[1:]])
-    writer = csv_module.writer(stream, lineterminator="\n")
+    import csv
+
+    writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header or [args.param])
     writer.writerows(rows)
 

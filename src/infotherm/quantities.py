@@ -16,8 +16,6 @@ Unit relations: 1 bit = ln 2 nats, and an amount of information I (nats)
 corresponds to an entropy k_B * I in J/K.
 """
 
-import dataclasses
-
 from .errors import DomainError, require_at_least, require_result
 
 #: Boltzmann constant, J/K (exact since the 2019 SI redefinition).
@@ -42,6 +40,8 @@ def unit(symbol: str | None):
     or a verdict. A field declared without ``unit`` (an echoed input) is not
     reported.
     """
+    import dataclasses  # here, not at module level: starting the CLI loads this module, not dataclasses
+
     return dataclasses.field(metadata={"unit": symbol})
 
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import decimal
 import io
 import json
 import math
@@ -413,6 +414,44 @@ class TestSweep:
                                         "--", "gas", "occupation", "--L", "10", "--epsilon", "1e-21"])
         assert code == 0
         assert out == "T,occupation\ninf,5.0\n"
+
+    @pytest.mark.parametrize(
+        "start,stop,count",
+        [
+            (1e-10, 1e300, 3),  # stop / start overflows
+            (1e300, 1e-300, 3),  # stop / start underflows to 0
+            (1e300, 1e-20, 3),  # stop / start is subnormal: a ratio from it is off by 5.6e-6
+            (1.0, sys.float_info.max, 5),  # ratio**4 rounds past the range: OverflowError
+            (3.0, sys.float_info.max, 2),  # start * ratio rounds past the range: inf
+            (5e-324, sys.float_info.max, 7),
+        ],
+        ids=["quotient-overflows", "quotient-underflows", "quotient-subnormal", "power-overflows",
+             "product-overflows", "whole-range"],
+    )
+    def test_a_log_grid_past_the_float_range_is_within_two_ulps(self, start, stop, count):
+        with decimal.localcontext() as context:  # oracle: log space at 60 digits
+            context.prec = 60
+            first, last = decimal.Decimal(start).ln(), decimal.Decimal(stop).ln()
+            exact = sorted(float(((last - first) * i / (count - 1) + first).exp()) for i in range(count))
+        values = cli._sweep_values(argparse.Namespace(start=start, stop=stop, count=count, log=True))
+        assert all(abs(v - x) <= 2 * math.ulp(x) for v, x in zip(values, exact, strict=True)), (values, exact)
+
+    @pytest.mark.parametrize("start,stop", [(1e-10, 1e300), (1e300, 1e-300)], ids=["overflows", "underflows"])
+    def test_a_log_sweep_past_the_float_range_runs_its_typed_values(self, capsys, start, stop):
+        # It once printed inf twice with exit 0, or exited 1 naming a temperature of 0.0 the user never typed.
+        code, out, err = run_cli(capsys, ["sweep", "--param", "T", "--start", repr(start), "--stop", repr(stop),
+                                          "--count", "3", "--log", "--", "gas", "occupation", "--L", "10",
+                                          "--epsilon", "1e-40"])
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()] == (
+            ["T", "1e-10", "1e+145", "1e+300"] if start < stop else ["T", "1e-300", "1.0", "1e+300"])
+
+    @pytest.mark.parametrize("start,stop,count", [(1e-21, 1e-19, 3), (1e-21, 1e-19, 50), (7.0, 3e-5, 11),
+                                                  (1e-300, 1e7, 9), (2.0, 1e308, 4), (1e150, 1e-150, 6)])
+    def test_a_log_grid_inside_the_float_range_keeps_its_digits(self, start, stop, count):
+        ratio = (stop / start) ** (1.0 / (count - 1))
+        values = cli._sweep_values(argparse.Namespace(start=start, stop=stop, count=count, log=True))
+        assert values == sorted(start * ratio**i for i in range(count))
 
     @pytest.mark.parametrize("target", [GAS_TEMPERATURE, SIMULATE + ["--L", "10", "--steps", "10"]],
                              ids=["gas-temperature", "simulate"])
@@ -831,6 +870,31 @@ print(json.dumps(report))
 """
 
 
+#: The public names of ``infotherm.mcsim``, which a star import leaves out.
+_MCSIM_NAMES = ["ConfigDistribution", "Configuration", "EnsembleSummary", "SimLedger", "ensemble_summary",
+                "h_function", "run_ensemble", "sample_canonical", "sample_equilibrium", "simulate_transfer"]
+
+#: The modules that starting the CLI must not load: each command loads only those it uses.
+_WATCHED_MODULES = ["csv", "dataclasses", "json", "numpy"] + [
+    f"infotherm.{name}" for name in ("bounds", "broadcast", "fileinfo", "lz", "mcsim", "twolevel")]
+
+#: Runs one command in a fresh interpreter (argv: the watched modules joined
+#: by commas, then the command's argv); prints its exit status and the
+#: watched modules that it loaded beyond those that importing the CLI loaded.
+_LOADS_SCRIPT = """
+import contextlib, io, sys
+import infotherm.cli as cli
+
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[2:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(set(sys.argv[1].split(",")) & (set(sys.modules) - before)))
+"""
+
+
 def _fresh_interpreter(script: str, *args: str) -> str:
     return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, check=True, text=True).stdout
 
@@ -858,6 +922,70 @@ class TestInProcessUse:
         )
         assert json.loads(_fresh_interpreter(script, json.dumps(PUBLIC_NAMES))) == [True, [], []]
         from infotherm import SimLedger, simulate_transfer  # noqa: F401  (the lazy path of a from-import)
+
+    def test_public_names_are_listed_before_any_is_resolved(self):
+        script = "import infotherm; print(' '.join(n for n in dir(infotherm) if not n.startswith('_')))"
+        assert _fresh_interpreter(script).split() == sorted(PUBLIC_NAMES)
+
+    def test_a_star_import_binds_all_but_mcsim_without_numpy(self):
+        script = ("from infotherm import *; import json, sys; "
+                  "print(json.dumps([sorted(n for n in dir() if not n.startswith('_')), 'numpy' in sys.modules]))")
+        names = sorted(set(PUBLIC_NAMES) - {"mcsim", *_MCSIM_NAMES} | {"json", "sys"})
+        assert json.loads(_fresh_interpreter(script)) == [names, False]
+
+    def test_starting_the_cli_loads_no_library_module(self):
+        script = "import sys; b = set(sys.modules); import infotherm.cli; print(*sorted(set(sys.modules) - b))"
+        loaded = _fresh_interpreter(script).split()
+        assert not {*_WATCHED_MODULES, "concurrent.futures", "inspect"} & set(loaded), loaded
+        assert {"infotherm", "infotherm.cli", "infotherm.errors"} <= set(loaded)
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["--help"], []),
+            (["gas", "--help"], []),
+            (GAS_TEMPERATURE + ["--epsilon", "1e-21"], ["dataclasses", "infotherm.twolevel"]),
+            (["gas", "entropy", "--L", "10", "--p", "2", "--csv"], ["csv", "dataclasses", "infotherm.twolevel"]),
+            (["gas", "occupation", "--L", "10", "--T", "300", "--epsilon", "1e-21"],
+             ["dataclasses", "infotherm.twolevel"]),
+            (["gas", "transfer", "--L", "100", "--p-hot", "30", "--p-cold", "10", "--epsilon", "1e-21"],
+             ["dataclasses", "infotherm.twolevel"]),
+            (["gas", "state", "--L", "10", "--p", "2", "--epsilon", "1e-21", "--json"],
+             ["dataclasses", "infotherm.twolevel", "json"]),
+            (["broadcast", "range", "--power", "50", "--bit-rate", "9e8", "--csv"],
+             ["csv", "dataclasses", "infotherm.broadcast"]),
+            (["broadcast", "temperature", "--power", "50", "--bit-rate", "9e8", "--distance", "1e5"],
+             ["dataclasses", "infotherm.broadcast"]),
+            (["broadcast", "balance", "--info-bits", "1e6", "--receivers", "5"],
+             ["dataclasses", "infotherm.broadcast"]),
+            (["broadcast", "capacity", "--bit-rate", "1e9", "--carrier", "9e8", "--radius", "1"],
+             ["dataclasses", "infotherm.broadcast"]),
+            (["compute-bound", "--power", "1", "--json"], ["dataclasses", "infotherm.bounds", "json"]),
+            (["clausius", "--ledger", "LEDGER"], ["dataclasses", "infotherm.bounds", "json"]),
+            (["file", "analyze", "--epsilon", "1e-21", "--path", "DATA"],
+             ["dataclasses", "infotherm.fileinfo", "infotherm.lz", "numpy"]),
+            (SIMULATE + ["--L", "100", "--steps", "1000"],
+             ["dataclasses", "infotherm.mcsim", "infotherm.twolevel", "numpy"]),
+            (["sweep", "--param", "epsilon", "--start", "1e-21", "--stop", "1e-19", "--count", "3", "--"]
+             + GAS_TEMPERATURE, ["csv", "dataclasses", "infotherm.twolevel"]),
+        ],
+        ids=["help", "gas-help", "gas-temperature", "gas-entropy-csv", "gas-occupation", "gas-transfer",
+             "gas-state-json", "broadcast-range-csv", "broadcast-temperature", "broadcast-balance",
+             "broadcast-capacity", "compute-bound-json", "clausius", "file-analyze", "simulate", "sweep"],
+    )
+    def test_a_command_loads_only_its_modules(self, tmp_path, argv, expected):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps({"delta_S": 1e-22, "heat_terms": [[3e-20, 300.0]]}))
+        data = tmp_path / "data.bin"
+        data.write_bytes(bytes(range(256)) * 64)
+        argv = [{"LEDGER": str(ledger), "DATA": str(data)}.get(arg, arg) for arg in argv]
+        assert _fresh_interpreter(_LOADS_SCRIPT, ",".join(_WATCHED_MODULES), *argv).split() == ["0"] + expected
+
+    def test_the_table_spells_out_the_library_constants(self):
+        from infotherm import broadcast, fileinfo
+
+        assert cli._rows("file analyze")["block_k"].default == fileinfo.DEFAULT_BLOCK_BITS
+        assert cli._rows("broadcast range")["criterion"].parse == broadcast.RANGE_CRITERIA
 
     def test_the_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
