@@ -92,8 +92,8 @@ class BroadcastBalance:
 class ReceiverTemperature:
     """Receiver-side temperature with its geometric sanity flag."""
 
-    kelvin: float
-    geometric_factor: float
+    kelvin: float = unit("K", "receiver_temperature")
+    geometric_factor: float = unit("dimensionless")
 
     @property
     def oversized_aperture(self) -> bool:
@@ -105,9 +105,9 @@ class ReceiverTemperature:
 class BroadcastInformation:
     """Area-law bound on what an antenna can broadcast in a time interval."""
 
-    nats: float
-    bits: float
-    wavelength: float
+    nats: float = unit("nats", "max_information")
+    bits: float = unit("bits", "max_information_bits")
+    wavelength: float = unit("m")
     radius: float
 
     @property

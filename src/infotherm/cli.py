@@ -13,9 +13,10 @@ and warnings. Non-finite numbers are serialized as the strings "inf",
 
 Each leaf command is declared once, by ``@_command`` on its handler, with a
 table of ``_Flag`` rows (name, parser, unit, default, help) from which the
-parser, the help texts and the ``inputs`` block are built. A result
-dataclass declares the unit of each reported field on the field itself
-(``quantities.unit``); ``Envelope.add_results`` copies those fields.
+parser, the help texts and the ``inputs`` block are built. Every typed
+result goes through ``Envelope.add_results``, which copies the fields that
+its dataclass declares with ``quantities.unit`` (a unit, and a printed name
+where it differs); only a bare float is named where its handler adds it.
 
 ``sweep`` reads its target's table first: an unknown or non-numeric flag,
 or a grid the flag's own parser refuses (5.5 for a count), is a usage
@@ -23,7 +24,8 @@ error, and more than one point of ``file analyze`` without ``--path`` a
 domain error, since stdin can be read only once. It parses the target once;
 each point is a copy of that namespace with only the swept flag set. A
 log grid whose ratio leaves the float range is computed in decimal
-arithmetic, so its points stay between its bounds.
+arithmetic, so its points stay between its bounds. Its CSV header is the
+union of the points' scalar names, in first-seen order.
 
 A module loads when a command first needs it: each handler imports its own
 library module, and json, csv and dataclasses are imported where a renderer,
@@ -91,20 +93,21 @@ class Envelope:
             self.units[name] = unit
 
     def add_results(self, result):
-        """Add every field of a result dataclass that declares a unit."""
-        for name, unit in _reported_fields(type(result)):
-            self.add(name, getattr(result, name), unit)
+        """Add every field of a result dataclass that declares a unit, under its printed name."""
+        for field, name, unit in _reported_fields(type(result)):
+            self.add(name, getattr(result, field), unit)
 
     def warn(self, message: str):
         self.warnings.append(message)
 
 
 @functools.cache
-def _reported_fields(cls) -> tuple[tuple[str, str | None], ...]:
-    """(name, unit) of each field of ``cls`` declared with ``quantities.unit``."""
+def _reported_fields(cls) -> tuple[tuple[str, str, str | None], ...]:
+    """(field, printed name, unit) of each field of ``cls`` declared with ``quantities.unit``."""
     import dataclasses
 
-    return tuple((f.name, f.metadata["unit"]) for f in dataclasses.fields(cls) if "unit" in f.metadata)
+    return tuple((f.name, f.metadata["name"] or f.name, f.metadata["unit"])
+                 for f in dataclasses.fields(cls) if "unit" in f.metadata)
 
 
 #: Result values rendered as one JSON value in text and left out of CSV rows.
@@ -155,32 +158,33 @@ def _render_text(env: Envelope, stream) -> None:
 
 
 def _render_json(env: Envelope, stream) -> None:
+    """The envelope's five attributes, in order, are the JSON object's keys."""
     import json
 
-    payload = {
-        "command": env.command,
-        "inputs": _jsonable(env.inputs),
-        "results": _jsonable(env.results),
-        "units": env.units,
-        "warnings": env.warnings,
-    }
-    json.dump(payload, stream, indent=2)
+    json.dump(_jsonable(vars(env)), stream, indent=2)
     stream.write("\n")
 
 
 def _render_csv(env: Envelope, stream) -> None:
     """Scalar results as one CSV row; ensemble runs expand to many rows."""
-    import csv
-
     if "runs" in env.results and isinstance(env.results["runs"], list):
         header = ["seed", "p_final", "heat_to_cold", "total_entropy_change"]
         rows = [[run[key] for key in header] for run in env.results["runs"]]
     else:
         header = [k for k, v in env.results.items() if not isinstance(v, _COMPOUND)]
         rows = [[env.results[k] for k in header]]
+    _write_csv(stream, header, rows)
+
+
+def _write_csv(stream, header: list[str], rows) -> None:
+    """``header`` then one line per row of values; a row shorter than the header ends in empty cells."""
+    import csv
+
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_format_scalar(v) for v in row] for row in rows)
+    width = len(header)
+    writer.writerows(map(_format_scalar, row if len(row) == width else row + [None] * (width - len(row)))
+                     for row in rows)
 
 
 _RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}
@@ -263,14 +267,11 @@ _SWEEP_FLAGS = (
 
 
 # --------------------------------------------------------------------------
-# handlers: each calls the library and adds results; rows are echoed after
+# handlers: each calls the library and adds typed results by add_results; rows are echoed after
 
 
-def _add_temperature(env: Envelope, temp: "twolevel.GasTemperature") -> None:
-    env.add("temperature", temp.kelvin, "K")
-    env.add("inverted", temp.inverted)
-    if temp.infinite:
-        env.warn("infinite temperature: occupation is exactly half filling")
+#: The warning of a temperature that is +inf, at exactly half filling.
+_HALF_FILLING = "infinite temperature: occupation is exactly half filling"
 
 
 @_command("gas temperature", "equilibrium temperature from (L, p, epsilon)", _L, _P, _EPSILON)
@@ -278,7 +279,9 @@ def _gas_temperature(args, env: Envelope) -> None:
     from . import twolevel
 
     temp = twolevel.gas_temperature(twolevel.GasSpec(args.L, args.p, args.epsilon))
-    _add_temperature(env, temp)
+    env.add_results(temp)
+    if temp.infinite:
+        env.warn(_HALF_FILLING)
     if temp.inverted:
         env.warn("population inversion: more than half the sites are excited (negative temperature)")
 
@@ -327,13 +330,14 @@ def _gas_state(args, env: Envelope) -> None:
     spec = twolevel.GasSpec(args.L, args.p, args.epsilon)
     state = twolevel.gas_state(spec)
     env.add("energy", spec.energy, "J")
-    env.add("entropy_exact", state.entropy_exact, "nats")
-    env.add("entropy_stirling", state.entropy_stirling, "nats")
+    env.add_results(state)
     if state.temperature is None:
         env.add("temperature", None, "K")
         env.warn("temperature undefined at the occupation endpoints (zero-temperature limit)")
-    else:
-        _add_temperature(env, state.temperature)
+        return
+    env.add_results(state.temperature)
+    if state.temperature.infinite:
+        env.warn(_HALF_FILLING)
 
 
 @_command("file analyze", "full report for a file or stdin",
@@ -409,8 +413,7 @@ def _broadcast_temperature(args, env: Envelope) -> None:
         return
     args.area = _resolve_area(args)
     received = broadcast.receiver_temperature(t_source, args.area, args.distance)
-    env.add("receiver_temperature", received.kelvin, "K")
-    env.add("geometric_factor", received.geometric_factor, "dimensionless")
+    env.add_results(received)
     if received.oversized_aperture:
         env.warn("geometric factor >= 1: receiver area covers the full sphere")
 
@@ -438,9 +441,7 @@ def _broadcast_capacity(args, env: Envelope) -> None:
     from . import broadcast
 
     bound = broadcast.max_broadcast_information(args.bit_rate, args.carrier, args.radius, args.duration)
-    env.add("max_information", bound.nats, "nats")
-    env.add("max_information_bits", bound.bits, "bits")
-    env.add("wavelength", bound.wavelength, "m")
+    env.add_results(bound)
     if bound.subwavelength:
         env.warn("antenna radius below the carrier wavelength; the area law assumes radius >> wavelength")
 
@@ -505,7 +506,7 @@ def _simulate(args, env: Envelope) -> None:
     seeds = range(args.seed, args.seed + args.ensemble)
     ledgers = mcsim.run_ensemble(args.L, args.t_hot, args.t_cold, args.epsilon, args.steps, seeds)
     fields = _reported_fields(mcsim.SimLedger)
-    env.add("runs", [{name: getattr(led, name) for name, _ in fields} for led in ledgers])
+    env.add("runs", [{name: getattr(led, field) for field, name, _ in fields} for led in ledgers])
     env.add_results(mcsim.ensemble_summary(ledgers))
 
 
@@ -653,19 +654,13 @@ def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
     if leaf == "simulate":  # the steps of every run of every point, checked before the first one runs
         total = sum(_simulate_steps(p) * (1 if p.ensemble is None else p.ensemble) for p in map(point, parsed))
         require_within_step_budget(total, f"a sweep of {len(values)} simulate points")
-    rows = []
-    header: list[str] | None = None
+    names, rows = {}, []  # the header: every point's scalar names, in first-seen order
     for value, parsed_value in zip(values, parsed):
-        env = _execute(point(parsed_value))
-        scalars = {k: v for k, v in env.results.items() if not isinstance(v, _COMPOUND)}
-        if header is None:
-            header = [args.param] + list(scalars)
-        rows.append([_format_scalar(value)] + [_format_scalar(scalars.get(k)) for k in header[1:]])
-    import csv
-
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header or [args.param])
-    writer.writerows(rows)
+        scalars = {k: v for k, v in _execute(point(parsed_value)).results.items() if not isinstance(v, _COMPOUND)}
+        if not scalars.keys() <= names.keys():
+            names.update(dict.fromkeys(scalars))
+        rows.append([value] + [scalars.get(k) for k in names])
+    _write_csv(stream, [args.param, *names], rows)
 
 
 def main(argv: list[str] | None = None) -> int:

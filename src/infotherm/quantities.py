@@ -31,18 +31,19 @@ LN2 = 0.6931471805599453
 INFORMATION_UNITS = ("nats", "bits", "J/K")
 
 
-def unit(symbol: str | None):
+def unit(symbol: str | None, name: str | None = None, **field_options):
     """Declare a result dataclass field together with the unit it is reported in.
 
     A field declared with ``unit`` is a reported result: the CLI copies it,
-    in field order, into the envelope's ``results``, and ``symbol`` into
-    ``units``. ``symbol`` is None for a result without a unit, such as a flag
-    or a verdict. A field declared without ``unit`` (an echoed input) is not
-    reported.
+    in field order, into the envelope's ``results`` under ``name`` (default:
+    the field's own name), and ``symbol`` into ``units``. ``symbol`` is None
+    for a result without a unit, such as a flag or a verdict. A field
+    declared without ``unit`` (an echoed input) is not reported.
+    ``field_options`` go to ``dataclasses.field``, as ``default`` does.
     """
     import dataclasses  # here, not at module level: starting the CLI loads this module, not dataclasses
 
-    return dataclasses.field(metadata={"unit": symbol})
+    return dataclasses.field(metadata={"unit": symbol, "name": name}, **field_options)
 
 
 def convert_information(nats: float, target: str) -> float:

@@ -56,8 +56,8 @@ class GasTemperature:
     set) above half filling.
     """
 
-    kelvin: float
-    inverted: bool = False
+    kelvin: float = unit("K", "temperature")
+    inverted: bool = unit(None, default=False)
 
     @property
     def infinite(self) -> bool:
@@ -73,8 +73,8 @@ class GasState:
     """
 
     spec: GasSpec
-    entropy_exact: float
-    entropy_stirling: float | None
+    entropy_exact: float = unit("nats")
+    entropy_stirling: float | None = unit("nats")
     temperature: GasTemperature | None
 
 
@@ -180,10 +180,11 @@ def occupation_at(length: int, temperature: float, bit_energy: float) -> float:
     require_positive(bit_energy=bit_energy)
     x = require_quotient(f"the ratio of {bit_energy} J to k_B times {temperature} K", bit_energy, K_B * temperature)
     # exp(-x) never overflows for x > 0. Where it is subnormal it has lost
-    # digits, and 1 + exp(-x) rounds to 1, so L exp(-x) is taken in one exp.
+    # digits, and 1 + exp(-x) rounds to 1, so L exp(-x) is taken as
+    # L exp(700 - x) exp(-700): 700 - x is exact (Sterbenz) up to x = 1400, past which the product is 0.
     boltzmann = math.exp(-x)
     if boltzmann < sys.float_info.min:
-        return math.exp(math.log(length) - x)
+        return length * math.exp(700.0 - x) * math.exp(-700.0)
     return length * boltzmann / (1.0 + boltzmann)
 
 

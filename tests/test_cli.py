@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 from infotherm import cli, errors
 from infotherm.bounds import EntropyLedger
-from infotherm.broadcast import BroadcastBalance
+from infotherm.broadcast import BroadcastBalance, BroadcastInformation, ReceiverTemperature
 from infotherm.fileinfo import FileReport
 from infotherm.mcsim import EnsembleSummary, SimLedger
-from infotherm.twolevel import TransferLedger
+from infotherm.twolevel import GasState, GasTemperature, TransferLedger
 
 SCHEMA = json.loads(
     resources.files("infotherm").joinpath("data/output_schema.json").read_text(encoding="utf-8")
@@ -244,6 +244,15 @@ class TestSweep:
         assert values == sorted(values)
         assert len(values) == 5
         assert lines[-1].split(",")[1] == "inf"
+
+    def test_the_header_is_the_union_of_the_points_names(self, capsys):
+        # At p = 0 the gas has no temperature, so its row has no inverted flag either: those cells are empty.
+        code, out, _ = run_cli(capsys, ["sweep", "--param", "p", "--start", "0", "--stop", "2", "--count", "3", "--",
+                                        "gas", "state", "--L", "4", "--epsilon", "1e-21"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["p", "energy", "entropy_exact", "entropy_stirling", "temperature", "inverted"]
+        assert [row[-2:] for row in rows[1:]] == [["", ""], ["65.92835881001162", "false"], ["inf", "false"]]
 
     def test_incomplete_target_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -1011,24 +1020,54 @@ class TestInProcessUse:
             assert out.startswith(start), fmt
 
 
+#: (result type, fields not reported, fields reported without a unit, printed names that differ from the field's).
+_DECLARED = [
+    (TransferLedger, {"length", "p_hot", "p_cold", "bit_energy"}, {"canonical"}, {}),
+    (SimLedger, {"t_hot", "t_cold", "bit_energy"}, set(), {}),
+    (FileReport, set(), set(), {}),
+    (EntropyLedger, set(), {"heat_terms", "verdict"}, {}),
+    (BroadcastBalance, set(), set(), {}),
+    (EnsembleSummary, set(), set(), {}),
+    (GasTemperature, set(), {"inverted"}, {"kelvin": "temperature"}),
+    (GasState, {"spec", "temperature"}, set(), {}),
+    (ReceiverTemperature, set(), set(), {"kelvin": "receiver_temperature"}),
+    (BroadcastInformation, {"radius"}, set(), {"nats": "max_information", "bits": "max_information_bits"}),
+]
+
+
 class TestDeclaredUnits:
     """The envelope reports exactly the dataclass fields declared with ``quantities.unit``."""
 
-    @pytest.mark.parametrize(
-        "cls,unreported,unitless",
-        [
-            (TransferLedger, {"length", "p_hot", "p_cold", "bit_energy"}, {"canonical"}),
-            (SimLedger, {"t_hot", "t_cold", "bit_energy"}, set()),
-            (FileReport, set(), set()),
-            (EntropyLedger, set(), {"heat_terms", "verdict"}),
-            (BroadcastBalance, set(), set()),
-            (EnsembleSummary, set(), set()),
-        ],
-    )
-    def test_only_input_echoes_are_unreported(self, cls, unreported, unitless):
+    @pytest.mark.parametrize("cls,unreported,unitless,printed", _DECLARED)
+    def test_only_input_echoes_are_unreported(self, cls, unreported, unitless, printed):
         fields = dataclasses.fields(cls)
         assert {f.name for f in fields if "unit" not in f.metadata} == unreported
         assert {f.name for f in fields if f.metadata.get("unit", "") is None} == unitless
+        assert {f.name: f.metadata["name"] for f in fields if f.metadata.get("name")} == printed
+        assert cli._reported_fields(cls) == tuple(
+            (f.name, printed.get(f.name, f.name), f.metadata["unit"]) for f in fields if f.name not in unreported)
+
+    def test_every_result_the_cli_reports_is_declared_here(self, capsys, tmp_path):
+        data, ledger = tmp_path / "data.bin", tmp_path / "ledger.json"
+        data.write_bytes(bytes(range(256)))
+        ledger.write_text('{"delta_S": 1.0}')
+        commands = (
+            GAS_TEMPERATURE + ["--epsilon", "1e-21"],
+            ["gas", "state", "--L", "10", "--p", "2", "--epsilon", "1e-21"],
+            ["gas", "transfer", "--L", "100", "--p-hot", "30", "--p-cold", "10", "--epsilon", "1e-21"],
+            ["broadcast", "temperature", "--power", "50", "--bit-rate", "9e8", "--distance", "1e5"],
+            ["broadcast", "balance", "--info-bits", "1e6", "--receivers", "5"],
+            ["broadcast", "capacity", "--bit-rate", "1e9", "--carrier", "9e8", "--radius", "1"],
+            ["clausius", "--ledger", str(ledger)],
+            ["file", "analyze", "--epsilon", "1e-21", "--path", str(data)],
+            SIMULATE + ["--L", "10", "--steps", "10"],
+            SIMULATE + ["--L", "10", "--steps", "10", "--ensemble", "2"],
+        )
+        original = cli.Envelope.add_results
+        with mock.patch.object(cli.Envelope, "add_results", autospec=True, side_effect=original) as spy:
+            for argv in commands:
+                assert run_cli(capsys, argv)[0] == 0, argv
+        assert {type(call.args[1]) for call in spy.call_args_list} == {row[0] for row in _DECLARED}
 
 
 #: Values of the CLI fuzz gate: zero, a negative, the ends of the float range,
@@ -1141,7 +1180,8 @@ def per_point_sweep(args, parser, stream) -> None:
 
     It parses each point's whole argv, the target and the swept flag with
     its value, and a simulate target's twice: once for the step budget and
-    once to run it.
+    once to run it. It writes the CSV once every point has run, under the
+    union of the points' result names.
     """
     target = args.target[1:] if args.target[:1] == ["--"] else args.target
     leaf = " ".join(target[:2] if target and target[0] in cli._GROUPS else target[:1])
@@ -1166,20 +1206,18 @@ def per_point_sweep(args, parser, stream) -> None:
             sub_args = parser.parse_args(target + [flag, repr(value)])
             total += cli._simulate_steps(sub_args) * (1 if sub_args.ensemble is None else sub_args.ensemble)
         errors.require_within_step_budget(total, f"a sweep of {len(values)} simulate points")
-    rows = []
-    header = None
+    points = []
     for value in values:
         sub_args = parser.parse_args(target + [flag, repr(value)])
         if leaf == "file analyze" and not sub_args.path and len(values) > 1:
             raise errors.DomainError("a sweep cannot re-read stdin at every point; give file analyze a --path")
         env = cli._execute(sub_args)
-        scalars = {k: v for k, v in env.results.items() if not isinstance(v, cli._COMPOUND)}
-        if header is None:
-            header = [args.param] + list(scalars)
-        rows.append([cli._format_scalar(value)] + [cli._format_scalar(scalars.get(k)) for k in header[1:]])
+        points.append((value, {k: v for k, v in env.results.items() if not isinstance(v, cli._COMPOUND)}))
+    names = list(dict.fromkeys(k for _, scalars in points for k in scalars))
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header or [args.param])
-    writer.writerows(rows)
+    writer.writerow([args.param] + names)
+    for value, scalars in points:
+        writer.writerow(cli._format_scalar(v) for v in [value] + [scalars.get(k) for k in names])
 
 
 class TestSweepMatchesItsPoints:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infotherm import twolevel
@@ -225,6 +225,7 @@ class TestOccupation:
         x=st.one_of(st.floats(min_value=1e-6, max_value=800.0), st.floats(min_value=700.0, max_value=750.0)),
     )
     @settings(max_examples=300)
+    @example(length=5748, temperature=269128.64140541793, x=720.5705745484859)  # exp(log(L) - x) was 23 ulps off
     def test_near_the_exact_law(self, length, temperature, x):
         self.assert_near_the_exact_law(length, temperature, x * BOLTZMANN * temperature)
 
