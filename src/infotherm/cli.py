@@ -37,6 +37,8 @@ All numeric flags accept scientific notation. Units are fixed SI; there is
 no unit-suffix parsing.
 
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
+A reader that closes stdout early (``| head``) also gives exit 1 and one
+``error:`` line, never a traceback.
 """
 
 import argparse
@@ -347,12 +349,12 @@ def _gas_state(args, env: Envelope) -> None:
 def _file_analyze(args, env: Envelope) -> None:
     from . import fileinfo
 
-    if args.path:
+    if args.path is not None:
         with open(args.path, "rb") as handle:
             data = handle.read()
     else:
         data = sys.stdin.buffer.read()
-    env.add_input("source", args.path or "<stdin>", "path")
+    env.add_input("source", "<stdin>" if args.path is None else args.path, "path")
     report = fileinfo.analyze(data, args.epsilon, args.block_k)
     env.add_results(report)
     if report.info_block_k is None:
@@ -649,7 +651,7 @@ def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
     dest = swept.name.replace("-", "_")
     def point(value) -> argparse.Namespace:
         return argparse.Namespace(**{**base, dest: value})
-    if leaf == "file analyze" and not base["path"] and len(values) > 1:
+    if leaf == "file analyze" and base["path"] is None and len(values) > 1:
         raise DomainError("a sweep cannot re-read stdin at every point; give file analyze a --path")
     if leaf == "simulate":  # the steps of every run of every point, checked before the first one runs
         total = sum(_simulate_steps(p) * (1 if p.ensemble is None else p.ensemble) for p in map(point, parsed))
@@ -676,12 +678,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "sweep":
             _sweep(args, parser, sys.stdout)
-            return 0
-        env = _execute(args)
+        else:
+            _RENDERERS[fmt](_execute(args), sys.stdout)
+        sys.stdout.flush()
     except (DomainError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the reader left early (| head): the flush at exit goes to /dev/null
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _RENDERERS[fmt](env, sys.stdout)
     return 0
 
 

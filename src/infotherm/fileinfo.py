@@ -135,24 +135,22 @@ def block_entropy(data: bytes, block_bits: int) -> float:
     w[j] is the big-endian 32-bit word of bytes j..j+3 (the input followed by
     three zero bytes), so the window starting at bit 8j + r is
     (w[j] >> (32 - r - k)) & (2^k - 1), which fits because r + k <= 31. The
-    bit offsets r in 0..7 are counted in groups of g = max(1, min(8, 16 - k))
-    consecutive offsets a..a+g-1: one histogram of the (k+g-1)-bit field
-    starting at bit a of each w[j] holds the windows of every offset in the
-    group. Fields are capped at 15 bits because wider histograms count more
-    slowly than they save; from k = 15 on, g = 1, and a group of one offset
-    adds its windows straight into the counts. Every field is counted over
-    all the words, so the counts hold one window per input bit; the k - 1
-    windows that start in the last k - 1 bits run into the zero padding and
-    are subtracted. All counts are exact integers.
+    offsets r in 0..7 are counted in groups a..a+g-1, where offset a + i
+    reads bits [i, i + k) of the (k+g-1)-bit field at bit a of w[j] whatever
+    a is; g divides 8, so all groups share one field histogram. g is the
+    largest of 8, 4, 2 and 1 whose field fits in 16 bits and whose g
+    marginals fold within 2^18 entries: 8 up to k = 8, 4 up to 13, 2 up to
+    15, then 1. The counts hold one window per input bit; the k - 1 windows
+    that start in the last k - 1 bits run into the zero padding and are
+    subtracted. All counts are exact integers.
 
     The words are read in pieces of _PIECE_BYTES input bytes, and only the
     last piece is padded, so working memory is O(piece + 2^(k+g-1)) whatever
-    the input length: one piece's words and codes (12 bytes per piece byte),
-    8 bytes per state, and one 8-byte field histogram per group, each summed
-    over the pieces. The histogram of offset a + i is that field's marginal
-    over its bits [i, i + k), taken once at the end by folding: the low
-    g - 1 - i bits go by adding even and odd entries, the top i bits by
-    adding the two halves.
+    the input length: one piece's words and codes (12 bytes per piece byte)
+    and the 8-byte field histogram, summed over the pieces. The g marginals
+    are summed in one fold at the end, a bit per step: step s drops the low
+    bit of the sum so far (even plus odd entries) and adds the field less
+    its top s bits (halves added), whose low bits the later steps drop.
     """
     _require_data(data)
     require_count(1, 24, block_bits=block_bits)
@@ -167,10 +165,10 @@ def block_entropy(data: bytes, block_bits: int) -> float:
 
     n_blocks = bit_length - block_bits + 1
     mask = (1 << block_bits) - 1
-    counts = np.zeros(1 << block_bits, dtype=np.int64)
-    group = max(1, min(8, 16 - block_bits))
-    groups = [(a, min(group, 8 - a)) for a in range(0, 8, group)]
-    fields = [np.zeros(1 << (block_bits + g - 1), dtype=np.int64) if g > 1 else None for _, g in groups]
+    # g divides 8, so all groups share one histogram; wider fields or folds past 2^18 entries cost more than they save.
+    group = next((g for g in (8, 4, 2) if block_bits + g <= 17 and g << (block_bits + g - 1) <= 1 << 18), 1)
+    width = block_bits + group - 1
+    counts = np.zeros(1 << width, dtype=np.int64)  # of the field; folded below into the windows' counts
     buffer = np.empty(min(len(data), _PIECE_BYTES), dtype=np.intp)
     for lo in range(0, len(data), _PIECE_BYTES):
         m = min(_PIECE_BYTES, len(data) - lo)
@@ -179,24 +177,19 @@ def block_entropy(data: bytes, block_bits: int) -> float:
             piece += bytes(m + 3 - len(piece))
         words = np.ndarray((m,), dtype=">u4", buffer=piece, strides=(1,)).astype(np.uint32)
         codes = buffer[:m]
-        for (a, g), field in zip(groups, fields):
-            width = block_bits + g - 1
+        for a in range(0, 8, group):
             np.right_shift(words, 32 - a - width, out=codes)
             codes &= (1 << width) - 1
-            if field is None:
+            if group == 1:
                 np.add.at(counts, codes, 1)
             else:
-                field += np.bincount(codes, minlength=field.size)
-    for (_, g), field in zip(groups, fields):
-        if field is None:
-            continue
-        for i in reversed(range(g)):  # offset a + i reads bits [i, i + k) of the field, from its top
-            top = field
-            for _ in range(i):
-                top = top[: top.size // 2] + top[top.size // 2 :]
-            counts += top
-            if i:
-                field = field[0::2] + field[1::2]
+                counts += np.bincount(codes, minlength=counts.size)
+    # Offset a + i's marginal is the field less its top i and low g - 1 - i bits; their sum folds one bit a step.
+    top = counts
+    for _ in range(group - 1):
+        top = top[: top.size // 2] + top[top.size // 2 :]
+        counts = counts[0::2] + counts[1::2]
+        counts += top
     tail = int.from_bytes(data[-3:], "big") << block_bits
     for t in range(1, block_bits):  # the window t bits before the end runs into the padding
         counts[(tail >> t) & mask] -= 1

@@ -529,6 +529,40 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    def test_an_empty_path_is_a_missing_file_not_stdin(self, capsys, monkeypatch):
+        # An unset $FILE gives --path ''; only a path that is absent reads stdin.
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xaa" * 4096)))
+        code, out, err = run_cli(capsys, ["file", "analyze", "--epsilon", "1e-20", "--path", ""])
+        assert code == 1
+        assert out == ""
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            GAS_TEMPERATURE + ["--epsilon", "1e-21"],
+            GAS_TEMPERATURE + ["--epsilon", "1e-21", "--json"],
+            ["sweep", "--param", "L", "--start", "10", "--stop", "30", "--count", "3", "--", "gas", "temperature",
+             "--p", "2", "--epsilon", "1e-21"],
+        ],
+        ids=["text", "json", "sweep"],
+    )
+    def test_a_reader_that_left_early_is_one_error_line(self, argv, unbuffered):
+        # As `infotherm ... | head -c 0` does: the pipe's read end is closed before the command writes.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "infotherm", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == "error: [Errno 32] Broken pipe\n"
+
     @pytest.mark.parametrize("epsilon", ["inf", "nan", "1e308"])
     def test_nonfinite_file_energy_exits_one(self, capsys, tmp_path, epsilon):
         path = tmp_path / "ones.bin"
@@ -1209,7 +1243,7 @@ def per_point_sweep(args, parser, stream) -> None:
     points = []
     for value in values:
         sub_args = parser.parse_args(target + [flag, repr(value)])
-        if leaf == "file analyze" and not sub_args.path and len(values) > 1:
+        if leaf == "file analyze" and sub_args.path is None and len(values) > 1:
             raise errors.DomainError("a sweep cannot re-read stdin at every point; give file analyze a --path")
         env = cli._execute(sub_args)
         points.append((value, {k: v for k, v in env.results.items() if not isinstance(v, cli._COMPOUND)}))
