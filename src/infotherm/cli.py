@@ -22,7 +22,8 @@ where it differs); only a bare float is named where its handler adds it.
 or a grid the flag's own parser refuses (5.5 for a count), is a usage
 error, and more than one point of ``file analyze`` without ``--path`` a
 domain error, since stdin can be read only once. It parses the target once;
-each point is a copy of that namespace with only the swept flag set. A
+each point is a copy of that namespace with only the swept flag set, and a
+count's point within 1e-9 relative of an integer is that integer. A
 log grid whose ratio leaves the float range is computed in decimal
 arithmetic, so its points stay between its bounds. Its CSV header is the
 union of the points' scalar names, in first-seen order.
@@ -58,22 +59,27 @@ FORMAT_ENV_VAR = "INFOTHERM_FORMAT"
 def _count(text: str) -> int:
     """Integer flag value; scientific notation like 1e6 is accepted.
 
-    Plain integer literals are parsed exactly, so 64-bit seeds survive. A
-    count beyond the float range is refused: every count meets float
-    arithmetic somewhere.
+    Every literal is read exactly, so 64-bit seeds survive and 1e23 is
+    10**23: a plain integer by int, any other in decimal, where it must be
+    an integer (2.0 is, 2.0000000001 is not). A count beyond the float range
+    is refused: every count meets float arithmetic somewhere.
     """
     try:
         value = int(text)
     except ValueError:
-        value = float(text)
+        if not math.isfinite(float(text)):  # float raises argparse's message for what is no number
+            raise argparse.ArgumentTypeError(f"expected a finite integer, got {text!r}") from None
+        from decimal import Decimal, InvalidOperation  # here: a plain integer never loads decimal
+
+        try:
+            value = Decimal(text)
+            if value != value.to_integral_value():
+                raise InvalidOperation
+        except InvalidOperation:  # not an integer, or an exponent past decimal's own range
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if not abs(value) <= sys.float_info.max:
         raise argparse.ArgumentTypeError(f"expected a finite integer, got {text!r}")
-    if isinstance(value, int):
-        return value
-    rounded = round(value)
-    if abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(rounded)
+    return int(value)
 
 
 class Envelope:
@@ -321,6 +327,8 @@ def _gas_transfer(args, env: Envelope) -> None:
 
     ledger = twolevel.transfer_entropy_delta(args.L, args.p_hot, args.p_cold, args.epsilon)
     env.add_results(ledger)
+    if math.inf in (ledger.t_hot, ledger.t_cold):
+        env.warn(_HALF_FILLING)
     if not ledger.canonical:
         env.warn("non-canonical ordering: expected 0 < p_cold <= p_hot < L/2")
 
@@ -642,12 +650,15 @@ def _sweep(args, parser: argparse.ArgumentParser, stream) -> None:
     swept = matches[0]
     flag = "--" + swept.name
     values = _sweep_values(args)
+    # A count grid's point within 1e-9 relative of an integer (a log grid's 9.999999999999998) is that integer.
+    near = [round(v) if swept.parse is _count and math.isfinite(v) and abs(v - round(v)) <= 1e-9 * max(1.0, abs(v))
+            else v for v in values]
     try:
-        parsed = [swept.parse(repr(value)) for value in values]
+        parsed = [swept.parse(repr(value)) for value in near]
     except argparse.ArgumentTypeError as exc:
         parser.error(f"argument {flag}: {exc}")
     # One parse ("--flag=value" keeps -1e-05 a value); each point copies it, with its value as argparse stores it.
-    base = vars(parser.parse_args(target + [f"{flag}={values[0]!r}"]))
+    base = vars(parser.parse_args(target + [f"{flag}={parsed[0]!r}"]))
     dest = swept.name.replace("-", "_")
     def point(value) -> argparse.Namespace:
         return argparse.Namespace(**{**base, dest: value})

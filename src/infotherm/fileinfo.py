@@ -138,19 +138,21 @@ def block_entropy(data: bytes, block_bits: int) -> float:
     offsets r in 0..7 are counted in groups a..a+g-1, where offset a + i
     reads bits [i, i + k) of the (k+g-1)-bit field at bit a of w[j] whatever
     a is; g divides 8, so all groups share one field histogram. g is the
-    largest of 8, 4, 2 and 1 whose field fits in 16 bits and whose g
-    marginals fold within 2^18 entries: 8 up to k = 8, 4 up to 13, 2 up to
-    15, then 1. The counts hold one window per input bit; the k - 1 windows
-    that start in the last k - 1 bits run into the zero padding and are
-    subtracted. All counts are exact integers.
+    largest of 8, 4, 2 and 1 whose g marginals fold within 2^18 entries: 8
+    up to k = 8, 4 up to 13, 2 up to 16, then 1. A field of 16 bits or more
+    (as many entries as a piece has codes) is counted in place with
+    np.add.at, a narrower one by a bincount per group. The counts hold one
+    window per input bit; the k - 1 windows that start in the last k - 1
+    bits run into the zero padding and are subtracted. All counts are exact.
 
     The words are read in pieces of _PIECE_BYTES input bytes, and only the
     last piece is padded, so working memory is O(piece + 2^(k+g-1)) whatever
     the input length: one piece's words and codes (12 bytes per piece byte)
-    and the 8-byte field histogram, summed over the pieces. The g marginals
-    are summed in one fold at the end, a bit per step: step s drops the low
-    bit of the sum so far (even plus odd entries) and adds the field less
-    its top s bits (halves added), whose low bits the later steps drop.
+    and the 8-byte field histogram, summed over the pieces. The piece
+    buffers are freed before the g marginals are summed in one fold, a bit
+    per step: step s drops the low bit of the sum so far (even plus odd
+    entries) and adds the field less its top s bits (halves added), whose
+    low bits the later steps drop.
     """
     _require_data(data)
     require_count(1, 24, block_bits=block_bits)
@@ -165,8 +167,8 @@ def block_entropy(data: bytes, block_bits: int) -> float:
 
     n_blocks = bit_length - block_bits + 1
     mask = (1 << block_bits) - 1
-    # g divides 8, so all groups share one histogram; wider fields or folds past 2^18 entries cost more than they save.
-    group = next((g for g in (8, 4, 2) if block_bits + g <= 17 and g << (block_bits + g - 1) <= 1 << 18), 1)
+    # g divides 8, so all groups share one histogram; folds past 2^18 entries cost more than they save.
+    group = next((g for g in (8, 4, 2) if g << (block_bits + g - 1) <= 1 << 18), 1)
     width = block_bits + group - 1
     counts = np.zeros(1 << width, dtype=np.int64)  # of the field; folded below into the windows' counts
     buffer = np.empty(min(len(data), _PIECE_BYTES), dtype=np.intp)
@@ -180,10 +182,11 @@ def block_entropy(data: bytes, block_bits: int) -> float:
         for a in range(0, 8, group):
             np.right_shift(words, 32 - a - width, out=codes)
             codes &= (1 << width) - 1
-            if group == 1:
+            if width >= 16:  # a bincount would allocate and add a histogram as large as the piece or larger
                 np.add.at(counts, codes, 1)
             else:
                 counts += np.bincount(codes, minlength=counts.size)
+    del piece, words, codes, buffer
     # Offset a + i's marginal is the field less its top i and low g - 1 - i bits; their sum folds one bit a step.
     top = counts
     for _ in range(group - 1):

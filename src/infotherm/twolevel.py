@@ -201,13 +201,13 @@ def transfer_entropy_delta(
     if p_hot in (0, length) or p_cold in (0, length):
         raise DomainError("occupations must lie strictly between 0 and length")
 
-    delta_q = p_hot * bit_energy
+    delta_q = spec_hot.energy
     log_term = math.log(p_hot / p_cold) + math.log((length - p_cold) / (length - p_hot))
-    delta_s_occupation = K_B * (delta_q / bit_energy) * log_term
+    delta_s_occupation = require_result("the occupation entropy change", K_B * (delta_q / bit_energy) * log_term)
 
     t_hot = gas_temperature(spec_hot).kelvin
     t_cold = gas_temperature(spec_cold).kelvin
-    delta_s_clausius = delta_q / t_cold - delta_q / t_hot
+    delta_s_clausius = require_result("the Clausius entropy change", delta_q / t_cold - delta_q / t_hot)
 
     canonical = 0 < p_cold <= p_hot < length / 2
     return TransferLedger(

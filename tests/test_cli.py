@@ -122,6 +122,14 @@ class TestEnvelopes:
         assert payload["results"]["temperature"] == pytest.approx(1.81e18, rel=1e-3)
         assert payload["warnings"] == []
 
+    @pytest.mark.parametrize("argv", [["--L", "16", "--p-hot", "6", "--p-cold", "8"],
+                                      ["--L", "100", "--p-hot", "50", "--p-cold", "10"]], ids=["cold", "hot"])
+    def test_a_transfer_at_half_filling_warns_as_the_temperature_does(self, capsys, argv):
+        # The side at half filling has t = inf; gas temperature warns of that, and now so does gas transfer.
+        payload = run_json(capsys, ["gas", "transfer", *argv, "--epsilon", "1e-21"])
+        assert "inf" in (payload["results"]["t_hot"], payload["results"]["t_cold"])
+        assert cli._HALF_FILLING in payload["warnings"]
+
     def test_compute_bound(self, capsys):
         payload = run_json(capsys, ["compute-bound", "--power", "1", "--noise-temp", "300", "--margin", "10"])
         assert payload["results"]["max_rate"] == pytest.approx(3.4831325482652564e19, rel=1e-6)
@@ -318,6 +326,23 @@ class TestSweep:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert executed == []
+
+    def test_a_log_grid_of_a_count_flag_passes_each_near_integer_point_as_that_integer(self, capsys, executed):
+        # The grid's points are 9.999999999999998, 99.99999999999997 and so on; each is passed as 10**i.
+        code, out, _ = run_cli(capsys, ["sweep", "--param", "L", "--start", "1", "--stop", "1e6", "--count", "7",
+                                        "--log", "--", "gas", "entropy", "--p", "0"])
+        assert code == 0
+        assert out == (
+            "L,entropy_exact,entropy_exact_bits,entropy_si,entropy_stirling\n"
+            "1.0,0.0,0.0,0.0,\n"
+            "9.999999999999998,0.0,0.0,0.0,\n"
+            "99.99999999999997,0.0,0.0,0.0,\n"
+            "999.9999999999994,0.0,0.0,0.0,\n"
+            "9999.999999999993,0.0,0.0,0.0,\n"
+            "99999.99999999991,0.0,0.0,0.0,\n"
+            "999999.999999999,0.0,0.0,0.0,\n"
+        )
+        assert [args.L for args in executed] == [10**i for i in range(7)]
 
     def test_an_integer_grid_of_a_count_flag_runs(self, capsys):
         code, out, _ = run_cli(capsys, ["sweep", "--param", "p-hot", "--start", "3", "--stop", "1e1",
@@ -617,6 +642,24 @@ class TestExitCodes:
         payload = run_json(capsys, ["gas", "entropy", "--L", "1" + "0" * 300, "--p", "5"])
         assert payload["inputs"]["L"]["value"] == 10**300
 
+    @pytest.mark.parametrize("text,value", [("1e23", 10**23), ("1e308", 10**308), ("2.0", 2), ("1.5e1", 15),
+                                            ("-0.0", 0)], ids=["1e23", "1e308", "2.0", "1.5e1", "-0.0"])
+    def test_a_count_in_any_notation_is_read_exactly(self, text, value):
+        # float("1e23") is 99999999999999991611392.
+        assert cli._count(text) == value
+
+    @pytest.mark.parametrize("text", ["10000000000.5", "2.0000000001", "100000000000000000000001e-2", "1e-400",
+                                      "1e-999999999999999999999999", "1.7976931348623158e308"])
+    def test_a_count_that_is_not_exactly_an_integer_is_a_usage_error(self, capsys, text):
+        # Each was once rounded to a nearby integer (the last to the largest double).
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gas", "entropy", "--L", text, "--p", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --L: expected a" in err
+        assert repr(text) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "ledger",
         [
@@ -759,13 +802,14 @@ class TestExitCodes:
             ["broadcast", "range", "--power", "5e-324", "--bit-rate", "1e-300", "--carrier", "1", "--area", "5e-324"],
             ["gas", "entropy", "--L", "3e305", "--p", "5"],
             ["gas", "entropy", "--L", "1e308", "--p", "1e308"],
+            ["gas", "transfer", "--L", "1e262", "--p-hot", "1e213", "--p-cold", "194457", "--epsilon", "1e234"],
         ],
         ids=["gas-temperature-overflow", "gas-state-overflow", "gas-transfer-overflow", "range-wavelength-squared",
              "temperature-wavelength-squared", "temperature-distance-squared", "capacity-radius-squared",
              "range-overflow", "balance-information-overflow", "transmitter-temperature-overflow",
              "gas-state-energy-overflow", "occupation-denominator", "simulate-denominator",
              "compute-bound-denominator", "transmitter-denominator", "range-denominator", "range-underflow",
-             "entropy-lgamma-overflow", "entropy-lgamma-overflow-full"],
+             "entropy-lgamma-overflow", "entropy-lgamma-overflow-full", "gas-transfer-heat-overflow"],
     )
     def test_overflowing_result_exits_one(self, capsys, argv):
         # Each once printed a wrong verdict, a nan, a 0.0 or a traceback.
@@ -1213,9 +1257,10 @@ def per_point_sweep(args, parser, stream) -> None:
     """Oracle: the earlier ``cli._sweep``, kept as a test-local copy.
 
     It parses each point's whole argv, the target and the swept flag with
-    its value, and a simulate target's twice: once for the step budget and
-    once to run it. It writes the CSV once every point has run, under the
-    union of the points' result names.
+    its value (a count's near-integer point as that integer), and a simulate
+    target's twice: once for the step budget and once to run it. It writes
+    the CSV once every point has run, under the union of the points' result
+    names.
     """
     target = args.target[1:] if args.target[:1] == ["--"] else args.target
     leaf = " ".join(target[:2] if target and target[0] in cli._GROUPS else target[:1])
@@ -1229,20 +1274,23 @@ def per_point_sweep(args, parser, stream) -> None:
     swept = matches[0]
     flag = "--" + swept.name
     values = cli._sweep_values(args)
+    # A count's point within 1e-9 relative of an integer is given as that integer.
+    texts = {v: repr(round(v) if swept.parse is cli._count and math.isfinite(v)
+                     and abs(v - round(v)) <= 1e-9 * max(1.0, abs(v)) else v) for v in values}
     for value in values:
         try:
-            swept.parse(repr(value))
+            swept.parse(texts[value])
         except argparse.ArgumentTypeError as exc:
             parser.error(f"argument {flag}: {exc}")
     if leaf == "simulate":
         total = 0
         for value in values:
-            sub_args = parser.parse_args(target + [flag, repr(value)])
+            sub_args = parser.parse_args(target + [flag, texts[value]])
             total += cli._simulate_steps(sub_args) * (1 if sub_args.ensemble is None else sub_args.ensemble)
         errors.require_within_step_budget(total, f"a sweep of {len(values)} simulate points")
     points = []
     for value in values:
-        sub_args = parser.parse_args(target + [flag, repr(value)])
+        sub_args = parser.parse_args(target + [flag, texts[value]])
         if leaf == "file analyze" and sub_args.path is None and len(values) > 1:
             raise errors.DomainError("a sweep cannot re-read stdin at every point; give file analyze a --path")
         env = cli._execute(sub_args)

@@ -295,6 +295,11 @@ class TestTransferLedger:
         assert ledger.t_hot == math.inf
         assert ledger.delta_s_clausius == pytest.approx(ledger.delta_s_occupation, rel=1e-12)
 
+    def test_an_overflowing_heat_is_a_domain_error(self):
+        # delta_q = 1e213 * 1e234 overflows; this returned delta_q = inf and delta_s_clausius = nan.
+        with pytest.raises(DomainError, match="overflows"):
+            transfer_entropy_delta(10**262, 10**213, 194457, 1e234)
+
     @pytest.mark.parametrize("p_hot,p_cold", [(0, 10), (100, 10), (20, 0), (20, 100)])
     def test_endpoint_occupations_rejected(self, p_hot, p_cold):
         with pytest.raises(DomainError):
