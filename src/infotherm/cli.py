@@ -8,8 +8,11 @@ default format; flags override it.
 
 The JSON envelope has five keys: command, inputs (echoed parameters, each
 with a unit), results (flat values), units (unit string per numeric result)
-and warnings. Non-finite numbers are serialized as the strings "inf",
+and warnings. Non-finite numbers are still serialized as the strings "inf",
 "-inf" and "nan". The schema ships in ``infotherm/data/output_schema.json``.
+The CLI writes its JSON itself: ``_json`` builds the text of the envelope,
+and of a list or dict result in text output, in one pass, byte for byte that
+of ``json.dumps`` (with ``indent=2`` for the envelope).
 
 Each leaf command is declared once, by ``@_command`` on its handler, with a
 table of ``_Flag`` rows (name, parser, unit, default, help) from which the
@@ -29,10 +32,10 @@ arithmetic, so its points stay between its bounds. Its CSV header is the
 union of the points' scalar names, in first-seen order.
 
 A module loads when a command first needs it: each handler imports its own
-library module, and json, csv and dataclasses are imported where a renderer,
-``clausius`` or ``_reported_fields`` uses them. ``import infotherm.cli``
-loads argparse, the package, ``errors`` and ``quantities``; ``--help`` loads
-no other library module.
+library module, and json, csv and dataclasses are imported where ``_json``,
+``_write_csv``, ``clausius`` or ``_reported_fields`` uses them.
+``import infotherm.cli`` loads argparse, the package, ``errors`` and
+``quantities``; ``--help`` loads no other library module.
 
 All numeric flags accept scientific notation. Units are fixed SI; there is
 no unit-suffix parsing.
@@ -122,18 +125,67 @@ def _reported_fields(cls) -> tuple[tuple[str, str, str | None], ...]:
 _COMPOUND = (list, tuple, dict)
 
 
-def _jsonable(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+def _json(value, indent: int | None = None) -> str:
+    """The text of ``json.dumps(value, indent=indent)``, with each non-finite float as "inf", "-inf" or "nan".
+
+    One pass over the value builds the text, with json's own rules: a string
+    by json's ASCII quoting, a float or an int by its ``__repr__``, a bool
+    as true or false (tested before int), a tuple as a list. What json
+    cannot write goes to ``json.dumps`` for its error, and a key that is no
+    string is named as json names it.
+    """
+    import json
+    from json.encoder import encode_basestring_ascii as quote
+
+    step = "" if indent is None else " " * indent
+    comma = ", " if indent is None else ","
+    parts = []
+    put = parts.append
+
+    def write(value, newline: str) -> None:
+        if isinstance(value, float):
+            if math.isfinite(value):
+                put(float.__repr__(value))
+            else:
+                put('"inf"' if value > 0 else '"-inf"' if value < 0 else '"nan"')
+        elif isinstance(value, str):
+            put(quote(value))
+        elif value is None:
+            put("null")
+        elif value is True:
+            put("true")
+        elif value is False:
+            put("false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                put("{}")
+                return
+            inner = newline + step
+            opener = "{" + inner
+            for key, item in value.items():
+                put(f"{opener}{quote(key if isinstance(key, str) else json.dumps(key))}: ")
+                write(item, inner)
+                opener = comma + inner
+            put(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            inner = newline + step
+            opener = "[" + inner
+            for item in value:
+                put(opener)
+                write(item, inner)
+                opener = comma + inner
+            put(newline + "]")
+        else:
+            put(json.dumps(value))
+
+    write(value, "" if indent is None else "\n")
+    del write  # it refers to itself: that cycle would keep every part alive until the cyclic collector runs
+    return "".join(parts)
 
 
 def _format_scalar(value) -> str:
@@ -154,9 +206,7 @@ def _render_text(env: Envelope, stream) -> None:
     stream.write("results:\n")
     for name, value in env.results.items():
         if isinstance(value, _COMPOUND):
-            import json
-
-            stream.write(f"  {name} = {json.dumps(_jsonable(value))}\n")
+            stream.write(f"  {name} = {_json(value)}\n")
             continue
         unit = env.units.get(name)
         suffix = f" [{unit}]" if unit else ""
@@ -167,10 +217,7 @@ def _render_text(env: Envelope, stream) -> None:
 
 def _render_json(env: Envelope, stream) -> None:
     """The envelope's five attributes, in order, are the JSON object's keys."""
-    import json
-
-    json.dump(_jsonable(vars(env)), stream, indent=2)
-    stream.write("\n")
+    stream.write(_json(vars(env), indent=2) + "\n")
 
 
 def _render_csv(env: Envelope, stream) -> None:

@@ -29,6 +29,11 @@ from .errors import DomainError, require_above, require_count, require_positive,
 from .quantities import K_B, unit
 
 
+def _named(count: int) -> str:
+    """A count as an error message names it: in all its digits up to 17, else as ``:.6g`` gives it."""
+    return f"{count:.6g}" if count >= 10**17 else str(count)
+
+
 @dataclass(frozen=True)
 class GasSpec:
     """A two-level gas: ``length`` sites, ``ones`` excited, each worth ``bit_energy`` joules."""
@@ -45,7 +50,8 @@ class GasSpec:
     @property
     def energy(self) -> float:
         """Total gas energy in joules."""
-        return require_result(f"the energy of {self.ones} sites at {self.bit_energy} J", self.ones * self.bit_energy)
+        return require_result(f"the energy of {_named(self.ones)} sites at {self.bit_energy} J",
+                              self.ones * self.bit_energy)
 
 
 @dataclass(frozen=True)
@@ -162,8 +168,8 @@ def gas_temperature(spec: GasSpec) -> GasTemperature:
         ratio_log = math.log1p((length - 2 * ones) / ones)
     if ratio_log == 0.0:
         return GasTemperature(kelvin=math.inf, inverted=False)
-    kelvin = require_result(f"the temperature of {ones} excited sites of {length} at {spec.bit_energy} J each",
-                            (spec.bit_energy / K_B) / ratio_log)
+    what = f"the temperature of {_named(ones)} excited sites of {_named(length)} at {spec.bit_energy} J each"
+    kelvin = require_result(what, (spec.bit_energy / K_B) / ratio_log)
     return GasTemperature(kelvin=kelvin, inverted=kelvin < 0)
 
 

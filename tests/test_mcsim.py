@@ -470,6 +470,26 @@ class TestStreamedRelaxation:
             assert 0 < sum(relaxed) < steps // 2
         assert max(relaxed) <= mcsim._chunk_steps(length)
 
+    # Seeds whose fold takes more than one window.
+    @pytest.mark.parametrize("length,steps,seed", [(1000, 10**5, 25), (15000, 1_500_000, 3)])
+    def test_a_later_window_relaxes_only_the_sites_left_unrejected(self, monkeypatch, length, steps, seed):
+        expected_initial, expected_final = single_shot_relax(length, PROB_HOT, ACCEPT, steps, seed)
+        windows, chunk_map = [], mcsim._chunk_map
+
+        def spy(sites, accepts, length):
+            windows.append((sites.copy(), accepts.copy()))
+            return chunk_map(sites, accepts, length)
+
+        monkeypatch.setattr(mcsim, "_chunk_map", spy)
+        initial, final = mcsim._relax(length, PROB_HOT, ACCEPT, steps, seed)
+        assert np.array_equal(initial, expected_initial)
+        assert np.array_equal(final, expected_final)
+        assert len(windows) > 1
+        rejected = np.zeros(length, dtype=bool)  # the sites that the windows relaxed so far rejected
+        for sites, accepts in windows:
+            assert not rejected[sites].any()
+            rejected[sites[~accepts]] = True
+
     def test_the_first_window_leaves_few_sites_unrejected(self):
         for length in (1, 64, 1000, 15000):
             window = mcsim._first_window(length, ACCEPT)
@@ -551,6 +571,21 @@ class TestSiteBlocks:
     @settings(max_examples=150, deadline=None)
     def test_random_lengths_and_seeds(self, length, steps, seed, piece):
         self.check(length, steps, seed, piece)
+
+    @pytest.mark.parametrize("seed,steps,index,position", [(390, 3 * 4096 + 5, 1, 4095), (1923, 6 * 4096 + 5, 4, 0)],
+                             ids=["only-the-last-value", "only-the-first-value"])
+    def test_pieces_with_and_without_a_rejection(self, seed, steps, index, position):
+        # At this L about one raw value in 4096 is rejected, so some 4096-value
+        # pieces have no rejection and skip the rejection bookkeeping; the
+        # others have some. Piece ``index``'s only rejection is at ``position``.
+        length = 2**32 - 2**20 + 1
+        values = -(-steps // 4096) * 4096
+        raw = np.random.default_rng(seed).bit_generator.random_raw(values // 2).astype("<u8").view("<u4")
+        rejected = (raw * np.uint32(length) < (2**32 - length) % length).reshape(-1, 4096)
+        assert np.flatnonzero(rejected[index]).tolist() == [position]
+        assert 0 < rejected.any(axis=1).sum() < len(rejected)
+        assert values - rejected.sum() < steps + 4096  # the count reads every one of these pieces
+        self.check(length, steps, seed, 4096)
 
     def test_many_rejections_span_pieces(self):
         # Near L = 2**31 + 1 about half the raw values are rejected, so the
