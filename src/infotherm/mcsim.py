@@ -33,26 +33,26 @@ Identical seeds give bit-identical ledgers.
 
 Relaxation runs backwards from the last step. Any stretch of steps maps the
 state s to (s & kept) ^ flips (``_chunk_map``), and these maps compose
-exactly, so the run folds them in from the end in windows, the first sized
-so that every site is likely rejected in it (``_first_window``), the next
-ones twice as long up to the chunk size. Once every site has been rejected,
-the earlier steps cannot change the final state and the fold stops. A later
-window passes the kernel only its steps at sites still kept: a site that the
-later steps reject ends as they leave it, whatever the window does to it. So
-at L = 15000 and b = exp(-1) a later window of 131 072 steps relaxes about
-600 of them. The acceptance floats start only after the last site, and
-``integers`` rejection-samples, so the run first counts the site stream's
-rejections on the raw 32-bit values without producing any site
-(``_site_blocks``). That locates both the acceptance stream and the raw
-block that holds any step's site. A piece of raw values with no rejection,
-as nearly every piece is at L = 1000 or 15000 (fewer than one raw value in a
-million is rejected), gives blocks of 4096 sites each and is not searched
-for rejections. Each window's sites and floats are then drawn at their place
-in the stream by advancing the generator (``PCG64.advance``); the raw site
-values of steps that cannot matter are only counted, and their floats are
-never generated. The ledgers are those of the forward fold, bit for bit. At
-L = 15000 with 1.5e6 steps and b = exp(-1), the fold usually stops within
-the last three chunks.
+exactly, so the run folds them in from the end in windows sized by one rule:
+the fewest steps after which the sites still kept expect at most 1/16 of a
+site unrejected, capped at one chunk (``_first_window``). Once every site
+has been rejected, the earlier steps cannot change the final state and the
+fold stops. Once some site has been rejected, a window passes the kernel
+only its steps at sites still kept: a site that the later steps reject ends
+as they leave it, whatever the window does to it. So at L = 15000 and b =
+exp(-1) a later window of 131 072 steps relaxes about 600 of them. The
+acceptance floats start only after the last site, and ``integers``
+rejection-samples, so the run first counts the site stream's rejections on
+the raw 32-bit values without producing any site (``_site_blocks``). That
+locates both the acceptance stream and the raw block that holds any step's
+site. A piece of raw values with no rejection, as nearly every piece is at L
+= 1000 or 15000 (fewer than one raw value in a million is rejected), gives
+blocks of 4096 sites each and is not searched for rejections. Each window's
+sites and floats are then drawn at their place in the stream by advancing
+the generator (``PCG64.advance``); the raw site values of steps that cannot
+matter are only counted, and their floats are never generated. The ledgers
+are those of the forward fold, bit for bit. At L = 15000 with 1.5e6 steps
+and b = exp(-1), the fold usually stops within the last three chunks.
 
 Memory: a run reads the raw stream, draws and relaxes in pieces, chunks or
 windows of at most max(2**17, L) steps, one at a time, so its working set is
@@ -281,12 +281,13 @@ def _relax_bytes(length: int, steps: int) -> int:
     return _WORK_BYTES * (length + _chunk_steps(length)) + _BLOCK_BYTES * blocks
 
 
-def _first_window(length: int, accept_probability: float) -> int:
-    """Steps in the last window of a run: each site escapes rejection in it with probability below 1 / (16 L).
+def _first_window(length: int, accept_probability: float, kept: int | None = None) -> int:
+    """Steps of the next window: the fewest in which ``kept`` sites (default L) expect at most 1/16 unrejected.
 
     A step rejects a given site with probability (1 - accept_probability) / L,
-    so in n steps that site escapes with probability (1 - that)**n, and the
-    expected number of sites left to an earlier window stays below 1/16. A
+    so in n steps that site escapes with probability (1 - that)**n. The
+    window is the fewest n for which ``kept`` times that is at most 1/16,
+    capped at one chunk; the last window of a run is the case kept = L. A
     rejection-free chain (accept_probability = 1) gets a whole chunk.
     """
     chunk = _chunk_steps(length)
@@ -295,7 +296,7 @@ def _first_window(length: int, accept_probability: float) -> int:
         return 1
     if reject == 0.0:
         return chunk
-    return min(chunk, max(1, math.ceil(math.log(16 * length) / -math.log1p(-reject))))
+    return min(chunk, math.ceil(math.log(16 * (length if kept is None else kept)) / -math.log1p(-reject)))
 
 
 def _site_blocks(bits: np.random.PCG64, length: int, steps: int, piece: int) -> tuple[np.ndarray, int]:
@@ -365,33 +366,32 @@ def _relax(
     it, and the fold stops once no site is kept. A window's sites are
     redrawn by ``_draw_sites``. Each acceptance float is one 64-bit output
     of the generator, so a window's floats are drawn after advancing from
-    the acceptance stream's start past the steps before the window. Every
-    window but the first, which ends at the last step, relaxes only the
-    steps whose site is still kept.
+    the acceptance stream's start past the steps before the window. Each
+    window is sized by ``_first_window`` for the sites still kept, and once
+    some site has left, it relaxes only its steps at kept sites.
     """
     rng = np.random.default_rng(seed)
     initial = rng.random(length) < prob_hot
-    chunk = _chunk_steps(length)
     bits = rng.bit_generator
     site_stream = bits.state
-    starts, words = _site_blocks(bits, length, steps, chunk)
+    starts, words = _site_blocks(bits, length, steps, _chunk_steps(length))
     # (kept, flips) is the map of steps [stop, steps): the identity to begin with.
     kept, flips = np.ones(length, dtype=bool), np.zeros(length, dtype=bool)
-    stop, window = steps, _first_window(length, accept_probability)
-    while stop > 0 and kept.any():
-        start = max(0, stop - window)
+    stop, left = steps, length
+    while stop > 0 and left:
+        start = max(0, stop - _first_window(length, accept_probability, left))
         sites = _draw_sites(rng, site_stream, starts, length, start, stop)
         bits.state = site_stream
         bits.advance(words + start)
         accepts = rng.random(stop - start) < accept_probability
-        if stop < steps:  # a later window: only the steps at sites still kept can change the result
+        if left < length:  # only the steps at sites still kept can change the result
             live = np.flatnonzero(kept[sites])
             sites, accepts = sites[live], accepts[live]
+        # Every step left hits a kept site, so the window's flips need no mask.
         window_kept, window_flips = _chunk_map(sites, accepts, length)
-        # The window's steps come first, so the later steps' kept masks its flips.
-        flips ^= window_flips & kept
+        flips ^= window_flips
         kept &= window_kept
-        stop, window = start, min(chunk, 2 * window)
+        stop, left = start, int(np.count_nonzero(kept))
     return initial, (initial & kept) ^ flips
 
 

@@ -238,6 +238,12 @@ class TestMaxBroadcastInformation:
         assert bound.subwavelength
         assert not max_broadcast_information(1e9, 9e8, 10.0, 1.0).subwavelength
 
+    def test_a_radius_of_one_wavelength_is_not_subwavelength(self):
+        # A carrier of c Hz has a wavelength of exactly 1 m.
+        assert max_broadcast_information(1e9, 299792458.0, 1.0, 1.0).wavelength == 1.0
+        assert not max_broadcast_information(1e9, 299792458.0, 1.0, 1.0).subwavelength
+        assert max_broadcast_information(1e9, 299792458.0, 0.9999999999999999, 1.0).subwavelength
+
 
 class TestLinkBudget:
     def test_carrier_defaults_to_bit_rate(self):

@@ -131,6 +131,14 @@ class TestEnvelopes:
         assert "inf" in (payload["results"]["t_hot"], payload["results"]["t_cold"])
         assert cli._HALF_FILLING in payload["warnings"]
 
+    def test_a_transfer_past_half_filling_is_not_canonical(self, capsys):
+        # p_cold <= p_hot, but both sides lie above L/2, at negative temperatures.
+        code, out, err = run_cli(capsys, ["gas", "transfer", "--L", "16", "--p-hot", "10", "--p-cold", "9",
+                                          "--epsilon", "1e-21"])
+        assert (code, err) == (0, "")
+        assert "  canonical = false\n" in out
+        assert "warning: non-canonical ordering: expected 0 < p_cold <= p_hot < L/2\n" in out
+
     def test_compute_bound(self, capsys):
         payload = run_json(capsys, ["compute-bound", "--power", "1", "--noise-temp", "300", "--margin", "10"])
         assert payload["results"]["max_rate"] == pytest.approx(3.4831325482652564e19, rel=1e-6)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from infotherm import bounds, broadcast, fileinfo, mcsim, quantities, twolevel
 from infotherm.errors import (
+    MEMORY_BUDGET,
     DomainError,
     InvalidQuantityError,
     require_above,
@@ -26,6 +27,7 @@ from infotherm.errors import (
     require_positive,
     require_quotient,
     require_result,
+    require_within_budget,
 )
 
 _DATA = b"infotherm" * 4  # 288 bits: enough for 2-bit blocks
@@ -195,6 +197,15 @@ class TestCheckers:
         assert require_quotient("the temperature", 0.0, 0.0) == 0.0
         with pytest.raises(DomainError, match="^the rate underflows to 0$"):
             require_quotient("the rate", 0.0, 0.0, zero_underflows=True)
+
+    def test_the_memory_budget_admits_exactly_its_bytes(self):
+        require_within_budget(MEMORY_BUDGET, "a request")
+        with pytest.raises(DomainError, match="^a request needs about 2.0 GiB of memory, more than the budget"):
+            require_within_budget(MEMORY_BUDGET + 1, "a request")
+
+    def test_the_budget_message_gives_the_request_in_tenths_of_a_gib(self):
+        with pytest.raises(DomainError, match=r"^a run needs about 5\.7 GiB of memory, more than the budget of 2 GiB$"):
+            require_within_budget(5 * 2**30 + 3 * 2**29 // 2, "a run")
 
 
 #: Calls whose true result no double holds: a quotient over a thermal

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -221,6 +222,11 @@ class TestBlockEntropy:
         with pytest.raises(SampleSizeError, match="2560 bits"):
             fileinfo.block_entropy(b"\x00" * 100, 8)
 
+    def test_sample_size_guard_names_the_bytes_rounded_up(self):
+        message = r"^block entropy with k=1 needs at least 20 bits \(3 bytes\), got 8$"
+        with pytest.raises(SampleSizeError, match=message):
+            fileinfo.block_entropy(b"\x00", 1)
+
     @pytest.mark.parametrize("k", [0, 25, -3])
     def test_block_size_bounds(self, k):
         with pytest.raises(DomainError):
@@ -407,6 +413,11 @@ class TestReport:
         assert report.effective_temperature == pytest.approx(
             report.energy / (BOLTZMANN * report.info_compression), rel=1e-12
         )
+
+    def test_a_score_of_exactly_the_threshold_is_equilibrium(self):
+        report = fileinfo.analyze(b"\x00" * 64, 1e-20)
+        assert dataclasses.replace(report, equilibrium_score=0.95).is_equilibrium
+        assert not dataclasses.replace(report, equilibrium_score=0.9499999999999998).is_equilibrium
 
     def test_estimator_hierarchy_on_corpus(
         self, zeros_megabyte, sorted_megabyte, periodic_megabyte, balanced_random_megabyte

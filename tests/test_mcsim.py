@@ -490,6 +490,41 @@ class TestStreamedRelaxation:
             assert not rejected[sites].any()
             rejected[sites[~accepts]] = True
 
+    # Seeds whose fold takes more than one window.
+    @pytest.mark.parametrize("length,steps,seed", [(1000, 10**5, 25), (15000, 1_500_000, 3)])
+    def test_every_window_is_sized_for_the_sites_still_kept(self, monkeypatch, length, steps, seed):
+        rng = np.random.default_rng(seed)
+        rng.random(length)
+        sites = rng.integers(0, length, size=steps)
+        accepts = rng.random(steps) < ACCEPT
+        windows, draw_sites = [], mcsim._draw_sites
+
+        def spy(rng, site_stream, starts, length, start, stop):
+            windows.append((start, stop))
+            return draw_sites(rng, site_stream, starts, length, start, stop)
+
+        monkeypatch.setattr(mcsim, "_draw_sites", spy)
+        mcsim._relax(length, PROB_HOT, ACCEPT, steps, seed)
+        assert len(windows) > 1
+        assert windows[0] == (steps - mcsim._first_window(length, ACCEPT), steps)
+        for (start, stop), (later_start, _) in zip(windows[1:], windows):
+            assert stop == later_start
+            # The sites kept by steps [stop, steps): those that no step there rejected.
+            kept = length - np.unique(sites[stop:][~accepts[stop:]]).size
+            assert stop - start == mcsim._first_window(length, ACCEPT, kept) or start == 0
+
+    @pytest.mark.parametrize("length", [1, 64, 1000, 15000])
+    @pytest.mark.parametrize("accept_probability", [ACCEPT, math.exp(-1)])
+    def test_the_window_leaves_few_of_the_kept_sites_unrejected(self, length, accept_probability):
+        reject = (1 - accept_probability) / length
+        for kept in sorted({1, 60, length // 2, length} & set(range(1, length + 1))):
+            window = mcsim._first_window(length, accept_probability, kept)
+            assert 1 <= window <= mcsim._chunk_steps(length)
+            if window < mcsim._chunk_steps(length):
+                assert kept * (1 - reject) ** window <= 1 / 16
+                # The fewest such steps, up to the rounding of the logarithms.
+                assert kept * (1 - reject) ** (window - 1) > (1 - 1e-9) / 16
+
     def test_the_first_window_leaves_few_sites_unrejected(self):
         for length in (1, 64, 1000, 15000):
             window = mcsim._first_window(length, ACCEPT)

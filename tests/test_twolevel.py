@@ -170,6 +170,10 @@ class TestGasTemperature:
         assert abs(temp.kelvin) == pytest.approx(1.81e18, rel=1e-3)
         assert temp.inverted == (offset > 0)
 
+    def test_a_count_is_named_in_all_its_digits_below_10_to_the_17(self):
+        assert twolevel._named(10**17 - 1) == "99999999999999999"
+        assert twolevel._named(10**17) == "1e+17"
+
 
 class TestOccupation:
     def test_deep_cold_limit_is_empty(self):
